@@ -5,7 +5,8 @@ Part 2 builds the nested specifications of Examples 1.1 and 4.1, evaluates the
 flattening view in NRC, and checks semantically that the specifications hold
 on ground-truth instances and implicitly define their outputs.  (Automatic
 proof search for these nested witnesses is beyond the bundled prover — see
-DESIGN.md §7 — so this example exercises the specifications and semantics.)
+ARCHITECTURE.md, "Documented deviations and limitations" — so this example
+exercises the specifications and semantics.)
 
 Run with:  python examples/interpolation_and_nested_views.py
 """

@@ -21,7 +21,7 @@ from repro.core.interning import (
     intern,
     intern_table_size,
 )
-from repro.core.subst import fresh_name, free_var_names, replace_subtree, substitute
+from repro.core.subst import fresh_name, replace_subtree, substitute
 from repro.core.engine import RewriteEngine, RewriteStats
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "substitute",
     "replace_subtree",
     "fresh_name",
-    "free_var_names",
     "RewriteEngine",
     "RewriteStats",
 ]

@@ -18,7 +18,7 @@ spine instead of the whole tree.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Set
+from typing import Mapping, Set
 
 from repro.core.node import Node, free_vars
 
@@ -40,11 +40,6 @@ def fresh_name(base: str, taken: Set[str]) -> str:
 # hash in O(1) thanks to the per-node hash cache.
 _SUBST_CACHE: dict = {}
 _SUBST_CACHE_LIMIT = 1 << 17
-
-
-def clear_subst_cache() -> None:
-    """Drop all memoized substitution results."""
-    _SUBST_CACHE.clear()
 
 
 def substitute(node: Node, mapping: Mapping) -> Node:
@@ -147,11 +142,3 @@ def replace_subtree(node: Node, old: Node, new: Node) -> Node:
     if not changed:
         return node
     return node.rebuild(tuple(new_children))
-
-
-def free_var_names(nodes: Iterable[Node]) -> Set[str]:
-    """Names of all free variables across ``nodes`` (helper for fresh naming)."""
-    names: Set[str] = set()
-    for node in nodes:
-        names |= {var.name for var in free_vars(node)}
-    return names

@@ -16,7 +16,8 @@ flat side of that picture:
 The converse translation (NRC → relational algebra on flat types) is the
 content of the conservativity theorems of Paredaens–Van Gucht / Wong / Van den
 Bussche cited by the paper; we do not re-prove it here — flat outputs of the
-synthesizer are validated semantically instead (see DESIGN.md §5).
+synthesizer are validated semantically instead (see
+ARCHITECTURE.md, "Documented deviations and limitations").
 """
 
 from __future__ import annotations

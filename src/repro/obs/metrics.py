@@ -204,9 +204,8 @@ class MetricsRegistry:
         self._metrics: "OrderedDict[str, object]" = OrderedDict()
         self._collectors: List[Callable[[], object]] = []
         self._lock = threading.Lock()
-        self.started_at = time.time()
-        # Monotonic twin of ``started_at``: uptime arithmetic must survive
-        # wall-clock steps (NTP, VM resume), so durations never use time.time.
+        # Monotonic start: uptime arithmetic must survive wall-clock steps
+        # (NTP, VM resume), so durations never use time.time.
         self.started_monotonic = time.monotonic()
 
     # --------------------------------------------------------- registration
@@ -376,7 +375,6 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
             self._collectors.clear()
-            self.started_at = time.time()
             self.started_monotonic = time.monotonic()
 
 
@@ -389,10 +387,6 @@ def get_registry() -> MetricsRegistry:
 
 def reset_registry() -> None:
     _REGISTRY.reset()
-
-
-def process_start_time() -> float:
-    return _REGISTRY.started_at
 
 
 def process_uptime_seconds() -> float:

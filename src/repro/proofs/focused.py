@@ -8,7 +8,8 @@ Every rule has
   proofs and re-validates the application (raising
   :class:`~repro.errors.RuleApplicationError` otherwise).
 
-Implementation notes (documented deviations, see DESIGN.md §5/§6):
+Implementation notes (documented deviations, see
+ARCHITECTURE.md, "Documented deviations and limitations"):
 
 * In the ∃ rule the paper instantiates blocks of existentials with *variable*
   membership atoms, relying on ×η/×β to first flatten pair-typed bounds.  We

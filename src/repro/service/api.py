@@ -13,7 +13,7 @@ Contracts
 * Requests — :class:`SynthesizeRequest`, :class:`VerifyRequest`,
   :class:`SweepRequest`, :class:`SweepSubmitRequest` (the async fleet
   submission).  Validation happens at construction (and again in
-  :meth:`from_json_dict`, which additionally rejects unknown and mistyped
+  ``from_json_dict``, which additionally rejects unknown and mistyped
   fields), so a malformed request is an :class:`ApiError` with code
   ``invalid_request`` *before* any synthesis machinery runs.
 * Responses — :class:`SynthesisResult` (one pipeline run: digest, cache tier,
@@ -28,16 +28,26 @@ Contracts
   with an HTTP status per code and a JSON rendering, so the CLI and the HTTP
   server map the same failure to the same message.
 
-Serialization is deterministic: ``X.from_json(x.to_json()) == x`` for every
-contract type (the round-trip is property-tested), and ``to_json`` emits keys
-in a fixed order so equal values render byte-identically.
+Serialization
+=============
+
+Every contract is declared with :func:`_contract`, which derives
+``to_json_dict``/``from_json_dict``/``to_json``/``from_json`` from the
+dataclass fields and their type hints: keys are emitted in field order, and
+decoding checks each value against its hint.  The one wire rule that differs
+between fields — whether a field is left out while it equals its default —
+is declared with :func:`_elided`.  Serialization is deterministic:
+``X.from_json(x.to_json()) == x`` for every contract type (the round-trip is
+property-tested), and equal values render byte-identically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from collections.abc import Mapping as AbcMapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from operator import methodcaller
+from typing import Dict, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 #: The wire-format version; every HTTP route is prefixed with it.
 API_VERSION = "v1"
@@ -86,37 +96,202 @@ ERROR_CODES: Dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
+# ------------------------------------------------------------------ the codec
+_ELIDED = "elided"
+
+#: Contract class → (encoders, decoders, wire keys), built by :func:`_contract`.
+_CODECS: Dict[type, tuple] = {}
+
+
+def _elided(default=MISSING, *, default_factory=MISSING):
+    """A field left off the wire while it equals its default."""
+    return field(default=default, default_factory=default_factory, metadata={_ELIDED: True})
+
+
+def _expect(name: str, value, typ):
+    if not isinstance(value, typ):
+        raise invalid_request(f"field {name!r} must be {typ.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _decode_float(name: str, value):
+    if type(value) is int:
+        return float(value)
+    return _expect(name, value, float)
+
+
+def _decode_int(name: str, value):
+    if isinstance(value, bool):
+        raise invalid_request(f"field {name!r} must be int, got bool")
+    return _expect(name, value, int)
+
+
+def _decoder(hint):
+    """``(field name, JSON value) -> field value`` for one type hint."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        inner = _decoder(next(arg for arg in args if arg is not type(None)))
+        return lambda name, value: None if value is None else inner(name, value)
+    if origin is tuple:  # Tuple[X, ...]
+        item = _decoder(args[0])
+        return lambda name, value: tuple(item(name, v) for v in _expect(name, value, list))
+    if origin is AbcMapping:
+        return lambda name, value: _expect(name, value, dict)
+    if is_dataclass(hint):
+        return lambda name, value: hint.from_json_dict(value)
+    if hint is float:
+        return _decode_float
+    if hint is int:
+        return _decode_int
+    return lambda name, value: _expect(name, value, hint)
+
+
+def _encoder(hint):
+    """``field value -> JSON value`` for one type hint (``None``: as is)."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        inner = _encoder(next(arg for arg in args if arg is not type(None)))
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple:
+        item = _encoder(args[0])
+        return list if item is None else (lambda value: [item(v) for v in value])
+    if origin is AbcMapping:
+        return dict
+    if is_dataclass(hint):
+        return methodcaller("to_json_dict")
+    return None
+
+
+def _check_keys(kind: str, payload, allowed) -> None:
+    if not isinstance(payload, Mapping):
+        raise invalid_request(f"{kind} payload must be a JSON object, got {type(payload).__name__}")
+    unknown = payload.keys() - allowed
+    if unknown:
+        raise invalid_request(
+            f"{kind} has unknown field(s): {', '.join(sorted(unknown))}",
+            unknown_fields=sorted(unknown),
+        )
+
+
+def _encode(value) -> Dict[str, object]:
+    payload: Dict[str, object] = {}
+    for name, encode, elide, default in _CODECS[type(value)][0]:
+        item = getattr(value, name)
+        if elide and item == default:
+            continue
+        payload[name] = item if encode is None else encode(item)
+    return payload
+
+
+def _decode(cls, payload, kind: Optional[str] = None):
+    decoders, keys = _CODECS[cls][1:]
+    _check_keys(kind or cls.__name__, payload, keys)
+    kwargs = {}
+    for name, decode, required in decoders:
+        if name in payload:
+            kwargs[name] = decode(name, payload[name])
+        elif required:
+            raise invalid_request(f"missing required field {name!r}")
+    return cls(**kwargs)
+
+
+def _contract(cls):
+    """Declare ``cls`` a frozen dataclass with a JSON codec derived from its fields.
+
+    * ``Tuple``/``Mapping`` fields are normalised to ``tuple``/``dict`` at
+      construction, before the class's own ``__post_init__`` validation.
+    * Every field with ``compare=True`` goes on the wire, in field order;
+      an :func:`_elided` field is left out while it equals its default.
+      ``compare=False`` fields are transport-local and never serialized.
+    * ``init=False`` fields are derived: encoded, but ignored when decoding.
+    * Decoding rejects unknown keys, missing required keys and values that do
+      not match the field's hint (``int`` is accepted for ``float``, ``bool``
+      is refused for ``int``), each as an ``invalid_request`` error.
+
+    The methods are installed on the class itself (not inherited), and only
+    where the class body does not define its own.
+    """
+    validate = cls.__dict__.get("__post_init__")
+    normalise = []
+
+    def __post_init__(self) -> None:
+        for name, convert in normalise:
+            object.__setattr__(self, name, convert(getattr(self, name)))
+        if validate is not None:
+            validate(self)
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    hints = get_type_hints(cls)
+    encoders, decoders, keys = [], [], set()
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        convert = {tuple: tuple, AbcMapping: dict}.get(get_origin(hint))
+        if convert is not None:
+            normalise.append((spec.name, convert))
+        if not spec.compare:
+            continue
+        default = spec.default
+        if spec.default_factory is not MISSING:
+            default = spec.default_factory()
+        keys.add(spec.name)
+        encoders.append((spec.name, _encoder(hint), spec.metadata.get(_ELIDED, False), default))
+        if spec.init:
+            decoders.append((spec.name, _decoder(hint), default is MISSING))
+    _CODECS[cls] = (tuple(encoders), tuple(decoders), frozenset(keys))
+
+    def to_json_dict(self) -> Dict[str, object]:
+        return _encode(self)
+
+    def from_json_dict(cls, payload: Mapping[str, object]):
+        return _decode(cls, payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
+
+    def from_json(cls, text: str):
+        return cls.from_json_dict(_parse_json_object(text))
+
+    for name, method in (
+        ("to_json_dict", to_json_dict),
+        ("from_json_dict", classmethod(from_json_dict)),
+        ("to_json", to_json),
+        ("from_json", classmethod(from_json)),
+    ):
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def _parse_json_object(text) -> Mapping[str, object]:
+    try:
+        payload = json.loads(text)
+    except (ValueError, TypeError) as exc:
+        raise invalid_request(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, Mapping):
+        raise invalid_request(
+            f"request body must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+@_contract
 class ErrorInfo:
     """The data of a structured error (embeddable in :class:`JobStatus`)."""
 
     code: str
     message: str
-    detail: Mapping[str, object] = field(default_factory=dict)
+    detail: Mapping[str, object] = _elided(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.code not in ERROR_CODES:
             raise ValueError(f"unknown API error code {self.code!r}")
-        object.__setattr__(self, "detail", dict(self.detail))
 
     @property
     def http_status(self) -> int:
         return ERROR_CODES[self.code]
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"code": self.code, "message": self.message}
-        if self.detail:
-            payload["detail"] = dict(self.detail)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ErrorInfo":
-        _check_fields("ErrorInfo", payload, {"code", "message", "detail"})
-        return cls(
-            code=_field(payload, "code", str),
-            message=_field(payload, "message", str),
-            detail=_field(payload, "detail", dict, default={}),
-        )
 
 
 class ApiError(Exception):
@@ -219,47 +394,8 @@ def synthesis_failure(exc: BaseException, expected: str = "ok") -> ApiError:
     )
 
 
-# ------------------------------------------------------------- field plumbing
-def _check_fields(kind: str, payload: Mapping[str, object], allowed: set) -> None:
-    if not isinstance(payload, Mapping):
-        raise invalid_request(f"{kind} payload must be a JSON object, got {type(payload).__name__}")
-    unknown = set(payload) - allowed
-    if unknown:
-        raise invalid_request(
-            f"{kind} has unknown field(s): {', '.join(sorted(unknown))}",
-            unknown_fields=sorted(unknown),
-        )
-
-
-_MISSING = object()
-
-
-def _field(payload: Mapping[str, object], name: str, typ, default=_MISSING):
-    value = payload.get(name, _MISSING)
-    if value is _MISSING:
-        if default is _MISSING:
-            raise invalid_request(f"missing required field {name!r}")
-        return default
-    if typ is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if typ is int and isinstance(value, bool):
-        raise invalid_request(f"field {name!r} must be {typ.__name__}, got bool")
-    if not isinstance(value, typ):
-        raise invalid_request(
-            f"field {name!r} must be {getattr(typ, '__name__', typ)}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _opt_field(payload: Mapping[str, object], name: str, typ):
-    value = payload.get(name)
-    if value is None:
-        return None
-    return _field(payload, name, typ)
-
-
 # ------------------------------------------------------------------- requests
-@dataclass(frozen=True)
+@_contract
 class SynthesizeRequest:
     """Run one registry problem through the staged pipeline.
 
@@ -280,14 +416,14 @@ class SynthesizeRequest:
     silently falls back to a cold search when it does not.
     """
 
-    problem: str = ""
-    max_depth: Optional[int] = None
-    verify_scale: int = 0
-    cache_dir: Optional[str] = None
-    include_raw: bool = False
-    timeout: Optional[float] = None
-    spec_text: Optional[str] = None
-    ancestor: Optional[str] = None
+    problem: str = _elided("")
+    max_depth: Optional[int] = _elided(None)
+    verify_scale: int = _elided(0)
+    cache_dir: Optional[str] = _elided(None)
+    include_raw: bool = _elided(False)
+    timeout: Optional[float] = _elided(None)
+    spec_text: Optional[str] = _elided(None)
+    ancestor: Optional[str] = _elided(None)
 
     def __post_init__(self) -> None:
         if self.spec_text is None:
@@ -309,68 +445,14 @@ class SynthesizeRequest:
         ):
             raise invalid_request("ancestor must be a non-empty witness digest")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {}
-        if self.problem:
-            payload["problem"] = self.problem
-        if self.max_depth is not None:
-            payload["max_depth"] = self.max_depth
-        if self.verify_scale:
-            payload["verify_scale"] = self.verify_scale
-        if self.cache_dir is not None:
-            payload["cache_dir"] = self.cache_dir
-        if self.include_raw:
-            payload["include_raw"] = self.include_raw
-        if self.timeout is not None:
-            payload["timeout"] = self.timeout
-        if self.spec_text is not None:
-            payload["spec_text"] = self.spec_text
-        if self.ancestor is not None:
-            payload["ancestor"] = self.ancestor
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SynthesizeRequest":
-        _check_fields(
-            "SynthesizeRequest",
-            payload,
-            {
-                "problem",
-                "max_depth",
-                "verify_scale",
-                "cache_dir",
-                "include_raw",
-                "timeout",
-                "spec_text",
-                "ancestor",
-            },
-        )
-        return cls(
-            problem=_field(payload, "problem", str, default=""),
-            max_depth=_opt_field(payload, "max_depth", int),
-            verify_scale=_field(payload, "verify_scale", int, default=0),
-            cache_dir=_opt_field(payload, "cache_dir", str),
-            include_raw=_field(payload, "include_raw", bool, default=False),
-            timeout=_opt_field(payload, "timeout", float),
-            spec_text=_opt_field(payload, "spec_text", str),
-            ancestor=_opt_field(payload, "ancestor", str),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthesizeRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class VerifyRequest:
     """Synthesize + check the definition on a generated instance family."""
 
     problem: str
     scale: int = DEFAULT_VERIFY_SCALE
-    max_depth: Optional[int] = None
+    max_depth: Optional[int] = _elided(None)
 
     def __post_init__(self) -> None:
         if not isinstance(self.problem, str) or not self.problem:
@@ -387,30 +469,8 @@ class VerifyRequest:
             problem=self.problem, max_depth=self.max_depth, verify_scale=self.scale
         )
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"problem": self.problem, "scale": self.scale}
-        if self.max_depth is not None:
-            payload["max_depth"] = self.max_depth
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "VerifyRequest":
-        _check_fields("VerifyRequest", payload, {"problem", "scale", "max_depth"})
-        return cls(
-            problem=_field(payload, "problem", str),
-            scale=_field(payload, "scale", int, default=DEFAULT_VERIFY_SCALE),
-            max_depth=_opt_field(payload, "max_depth", int),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerifyRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class SweepRequest:
     """Run many registry problems through the parallel worker pool.
 
@@ -418,16 +478,15 @@ class SweepRequest:
     expected to synthesize) unless ``include_all`` asks for the full registry.
     """
 
-    problems: Tuple[str, ...] = ()
-    include_all: bool = False
-    processes: Optional[int] = None
-    timeout: Optional[float] = None
-    verify_scale: int = 0
-    cache_dir: Optional[str] = None
-    max_depth: Optional[int] = None
+    problems: Tuple[str, ...] = _elided(())
+    include_all: bool = _elided(False)
+    processes: Optional[int] = _elided(None)
+    timeout: Optional[float] = _elided(None)
+    verify_scale: int = _elided(0)
+    cache_dir: Optional[str] = _elided(None)
+    max_depth: Optional[int] = _elided(None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
         if any(not isinstance(name, str) or not name for name in self.problems):
             raise invalid_request("problems must be non-empty registry names")
         if self.problems and self.include_all:
@@ -441,61 +500,8 @@ class SweepRequest:
         if self.max_depth is not None and self.max_depth < 1:
             raise invalid_request("max_depth must be at least 1")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {}
-        if self.problems:
-            payload["problems"] = list(self.problems)
-        if self.include_all:
-            payload["include_all"] = True
-        if self.processes is not None:
-            payload["processes"] = self.processes
-        if self.timeout is not None:
-            payload["timeout"] = self.timeout
-        if self.verify_scale:
-            payload["verify_scale"] = self.verify_scale
-        if self.cache_dir is not None:
-            payload["cache_dir"] = self.cache_dir
-        if self.max_depth is not None:
-            payload["max_depth"] = self.max_depth
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepRequest":
-        _check_fields(
-            "SweepRequest",
-            payload,
-            {
-                "problems",
-                "include_all",
-                "processes",
-                "timeout",
-                "verify_scale",
-                "cache_dir",
-                "max_depth",
-            },
-        )
-        problems = _field(payload, "problems", list, default=[])
-        if not all(isinstance(name, str) for name in problems):
-            raise invalid_request("problems must be a list of strings")
-        return cls(
-            problems=tuple(problems),
-            include_all=_field(payload, "include_all", bool, default=False),
-            processes=_opt_field(payload, "processes", int),
-            timeout=_opt_field(payload, "timeout", float),
-            verify_scale=_field(payload, "verify_scale", int, default=0),
-            cache_dir=_opt_field(payload, "cache_dir", str),
-            max_depth=_opt_field(payload, "max_depth", int),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class SweepSubmitRequest:
     """Submit a sweep as one async fleet job (``POST /v1/sweeps``).
 
@@ -511,20 +517,18 @@ class SweepSubmitRequest:
       fails before the shard is marked ``failed``.
     """
 
-    problems: Tuple[str, ...] = ()
-    include_all: bool = False
-    processes: Optional[int] = None
-    timeout: Optional[float] = None
-    verify_scale: int = 0
-    cache_dir: Optional[str] = None
-    max_depth: Optional[int] = None
-    nodes: Tuple[str, ...] = ()
-    shard_size: Optional[int] = None
-    max_retries: int = DEFAULT_SHARD_RETRIES
+    problems: Tuple[str, ...] = _elided(())
+    include_all: bool = _elided(False)
+    processes: Optional[int] = _elided(None)
+    timeout: Optional[float] = _elided(None)
+    verify_scale: int = _elided(0)
+    cache_dir: Optional[str] = _elided(None)
+    max_depth: Optional[int] = _elided(None)
+    nodes: Tuple[str, ...] = _elided(())
+    shard_size: Optional[int] = _elided(None)
+    max_retries: int = _elided(DEFAULT_SHARD_RETRIES)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
         # Shared selection/execution fields obey SweepRequest's rules.
         self.to_sweep_request()
         if any(not isinstance(node, str) or not node for node in self.nodes):
@@ -546,81 +550,9 @@ class SweepSubmitRequest:
             max_depth=self.max_depth,
         )
 
-    @classmethod
-    def from_sweep_request(cls, request: SweepRequest, **fleet: object) -> "SweepSubmitRequest":
-        return cls(
-            problems=request.problems,
-            include_all=request.include_all,
-            processes=request.processes,
-            timeout=request.timeout,
-            verify_scale=request.verify_scale,
-            cache_dir=request.cache_dir,
-            max_depth=request.max_depth,
-            **fleet,
-        )
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload = self.to_sweep_request().to_json_dict()
-        if self.nodes:
-            payload["nodes"] = list(self.nodes)
-        if self.shard_size is not None:
-            payload["shard_size"] = self.shard_size
-        if self.max_retries != DEFAULT_SHARD_RETRIES:
-            payload["max_retries"] = self.max_retries
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepSubmitRequest":
-        _check_fields(
-            "SweepSubmitRequest",
-            payload,
-            {
-                "problems",
-                "include_all",
-                "processes",
-                "timeout",
-                "verify_scale",
-                "cache_dir",
-                "max_depth",
-                "nodes",
-                "shard_size",
-                "max_retries",
-            },
-        )
-        base = {
-            name: payload[name]
-            for name in (
-                "problems",
-                "include_all",
-                "processes",
-                "timeout",
-                "verify_scale",
-                "cache_dir",
-                "max_depth",
-            )
-            if name in payload
-        }
-        sweep = SweepRequest.from_json_dict(base)
-        nodes = _field(payload, "nodes", list, default=[])
-        if not all(isinstance(node, str) for node in nodes):
-            raise invalid_request("nodes must be a list of strings")
-        return cls.from_sweep_request(
-            sweep,
-            nodes=tuple(nodes),
-            shard_size=_opt_field(payload, "shard_size", int),
-            max_retries=_field(payload, "max_retries", int, default=DEFAULT_SHARD_RETRIES),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSubmitRequest":
-        return cls.from_json_dict(_parse_json_object(text))
-
 
 # ------------------------------------------------------------------ responses
-@dataclass(frozen=True)
+@_contract
 class ProblemInfo:
     """One registry entry's discoverable metadata."""
 
@@ -630,60 +562,17 @@ class ProblemInfo:
     expected: str = "ok"
     has_instances: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tags", tuple(self.tags))
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "tags": list(self.tags),
-            "expected": self.expected,
-            "has_instances": self.has_instances,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ProblemInfo":
-        _check_fields(
-            "ProblemInfo", payload, {"name", "description", "tags", "expected", "has_instances"}
-        )
-        return cls(
-            name=_field(payload, "name", str),
-            description=_field(payload, "description", str),
-            tags=tuple(_field(payload, "tags", list, default=[])),
-            expected=_field(payload, "expected", str, default="ok"),
-            has_instances=_field(payload, "has_instances", bool, default=False),
-        )
-
-
-@dataclass(frozen=True)
+@_contract
 class StageReport:
     """One named pipeline stage: wall-clock seconds + provenance detail."""
 
     name: str
     seconds: float
-    detail: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detail", dict(self.detail))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"name": self.name, "seconds": self.seconds}
-        if self.detail:
-            payload["detail"] = dict(self.detail)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "StageReport":
-        _check_fields("StageReport", payload, {"name", "seconds", "detail"})
-        return cls(
-            name=_field(payload, "name", str),
-            seconds=_field(payload, "seconds", float),
-            detail=_field(payload, "detail", dict, default={}),
-        )
+    detail: Mapping[str, object] = _elided(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_contract
 class VerificationSummary:
     """Tally of the batched verification stage."""
 
@@ -691,22 +580,16 @@ class VerificationSummary:
     satisfying: int
     ok: bool
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"checked": self.checked, "satisfying": self.satisfying, "ok": self.ok}
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "VerificationSummary":
-        _check_fields("VerificationSummary", payload, {"checked", "satisfying", "ok"})
-        return cls(
-            checked=_field(payload, "checked", int),
-            satisfying=_field(payload, "satisfying", int),
-            ok=_field(payload, "ok", bool),
-        )
-
-
-@dataclass(frozen=True)
+@_contract
 class SynthesisResult:
     """The wire rendering of one pipeline run (the service's main response).
+
+    ``cache_hit`` is derived from ``cache_tier``: it goes on the wire but is
+    never an argument, and a decoded ``cache_hit`` is ignored.
+
+    ``expression``, ``expression_size`` and ``proof_size`` are set together
+    or not at all (a run that synthesized nothing).
 
     ``display`` carries transport-local conveniences (the pretty-printed
     definition for terminal rendering); it is excluded from serialization and
@@ -721,96 +604,25 @@ class SynthesisResult:
     problem: str
     digest: str
     cache_tier: str
+    cache_hit: bool = field(init=False)
     total_seconds: float
     stages: Tuple[StageReport, ...] = ()
-    expression: Optional[str] = None
-    expression_size: Optional[int] = None
-    proof_size: Optional[int] = None
-    raw_expression: Optional[str] = None
-    verification: Optional[VerificationSummary] = None
-    source: Optional[str] = None
+    expression: Optional[str] = _elided(None)
+    expression_size: Optional[int] = _elided(None)
+    proof_size: Optional[int] = _elided(None)
+    raw_expression: Optional[str] = _elided(None)
+    verification: Optional[VerificationSummary] = _elided(None)
+    source: Optional[str] = _elided(None)
     display: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "display", dict(self.display))
-
-    @property
-    def cache_hit(self) -> bool:
-        return self.cache_tier in ("memory", "disk")
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "problem": self.problem,
-            "digest": self.digest,
-            "cache_tier": self.cache_tier,
-            "cache_hit": self.cache_hit,
-            "total_seconds": self.total_seconds,
-            "stages": [stage.to_json_dict() for stage in self.stages],
-        }
-        if self.expression is not None:
-            payload["expression"] = self.expression
-            payload["expression_size"] = self.expression_size
-            payload["proof_size"] = self.proof_size
-        if self.raw_expression is not None:
-            payload["raw_expression"] = self.raw_expression
-        if self.verification is not None:
-            payload["verification"] = self.verification.to_json_dict()
-        if self.source is not None:
-            payload["source"] = self.source
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SynthesisResult":
-        _check_fields(
-            "SynthesisResult",
-            payload,
-            {
-                "problem",
-                "digest",
-                "cache_tier",
-                "cache_hit",
-                "total_seconds",
-                "stages",
-                "expression",
-                "expression_size",
-                "proof_size",
-                "raw_expression",
-                "verification",
-                "source",
-            },
-        )
-        verification = payload.get("verification")
-        return cls(
-            problem=_field(payload, "problem", str),
-            digest=_field(payload, "digest", str),
-            cache_tier=_field(payload, "cache_tier", str),
-            total_seconds=_field(payload, "total_seconds", float),
-            stages=tuple(
-                StageReport.from_json_dict(stage)
-                for stage in _field(payload, "stages", list, default=[])
-            ),
-            expression=_opt_field(payload, "expression", str),
-            expression_size=_opt_field(payload, "expression_size", int),
-            proof_size=_opt_field(payload, "proof_size", int),
-            raw_expression=_opt_field(payload, "raw_expression", str),
-            verification=(
-                VerificationSummary.from_json_dict(verification)
-                if verification is not None
-                else None
-            ),
-            source=_opt_field(payload, "source", str),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SynthesisResult":
-        return cls.from_json_dict(_parse_json_object(text))
+        object.__setattr__(self, "cache_hit", self.cache_tier in ("memory", "disk"))
+        unset = {self.expression is None, self.expression_size is None, self.proof_size is None}
+        if len(unset) > 1:
+            raise invalid_request("expression, expression_size and proof_size go together")
 
 
-@dataclass(frozen=True)
+@_contract
 class JobStatus:
     """One asynchronous job's lifecycle snapshot.
 
@@ -823,10 +635,10 @@ class JobStatus:
     state: str
     problem: str
     submitted_at: float
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    result: Optional[SynthesisResult] = None
-    error: Optional[ErrorInfo] = None
+    started_at: Optional[float] = _elided(None)
+    finished_at: Optional[float] = _elided(None)
+    result: Optional[SynthesisResult] = _elided(None)
+    error: Optional[ErrorInfo] = _elided(None)
 
     def __post_init__(self) -> None:
         if self.state not in JOB_STATES:
@@ -836,61 +648,8 @@ class JobStatus:
     def finished(self) -> bool:
         return self.state in (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "id": self.id,
-            "state": self.state,
-            "problem": self.problem,
-            "submitted_at": self.submitted_at,
-        }
-        if self.started_at is not None:
-            payload["started_at"] = self.started_at
-        if self.finished_at is not None:
-            payload["finished_at"] = self.finished_at
-        if self.result is not None:
-            payload["result"] = self.result.to_json_dict()
-        if self.error is not None:
-            payload["error"] = self.error.to_json_dict()
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "JobStatus":
-        _check_fields(
-            "JobStatus",
-            payload,
-            {
-                "id",
-                "state",
-                "problem",
-                "submitted_at",
-                "started_at",
-                "finished_at",
-                "result",
-                "error",
-            },
-        )
-        result = payload.get("result")
-        error = payload.get("error")
-        return cls(
-            id=_field(payload, "id", str),
-            state=_field(payload, "state", str),
-            problem=_field(payload, "problem", str),
-            submitted_at=_field(payload, "submitted_at", float),
-            started_at=_opt_field(payload, "started_at", float),
-            finished_at=_opt_field(payload, "finished_at", float),
-            result=SynthesisResult.from_json_dict(result) if result is not None else None,
-            error=ErrorInfo.from_json_dict(error) if error is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobStatus":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class SweepOutcome:
     """Flat wire record of one sweep job (mirrors ``workers.JobOutcome``)."""
 
@@ -905,57 +664,6 @@ class SweepOutcome:
     verified: Optional[bool] = None
     error: Optional[str] = None
     stage_seconds: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stage_seconds", dict(self.stage_seconds))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "seconds": self.seconds,
-            "expected": self.expected,
-            "cache_tier": self.cache_tier,
-            "expression": self.expression,
-            "expression_size": self.expression_size,
-            "proof_size": self.proof_size,
-            "verified": self.verified,
-            "error": self.error,
-            "stage_seconds": dict(self.stage_seconds),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepOutcome":
-        _check_fields(
-            "SweepOutcome",
-            payload,
-            {
-                "name",
-                "status",
-                "seconds",
-                "expected",
-                "cache_tier",
-                "expression",
-                "expression_size",
-                "proof_size",
-                "verified",
-                "error",
-                "stage_seconds",
-            },
-        )
-        return cls(
-            name=_field(payload, "name", str),
-            status=_field(payload, "status", str),
-            seconds=_field(payload, "seconds", float),
-            expected=_field(payload, "expected", str, default="ok"),
-            cache_tier=_field(payload, "cache_tier", str, default="off"),
-            expression=_opt_field(payload, "expression", str),
-            expression_size=_opt_field(payload, "expression_size", int),
-            proof_size=_opt_field(payload, "proof_size", int),
-            verified=_opt_field(payload, "verified", bool),
-            error=_opt_field(payload, "error", str),
-            stage_seconds=_field(payload, "stage_seconds", dict, default={}),
-        )
 
     def to_stable_json_dict(self) -> Dict[str, object]:
         """The deterministic projection: everything except timings/placement.
@@ -977,7 +685,7 @@ class SweepOutcome:
         }
 
 
-@dataclass(frozen=True)
+@_contract
 class SpanInfo:
     """One finished trace span (see :mod:`repro.obs.trace`).
 
@@ -991,45 +699,11 @@ class SpanInfo:
     name: str
     start: float
     seconds: float
-    parent_id: Optional[str] = None
-    attributes: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", dict(self.attributes))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "name": self.name,
-            "start": self.start,
-            "seconds": self.seconds,
-        }
-        if self.parent_id is not None:
-            payload["parent_id"] = self.parent_id
-        if self.attributes:
-            payload["attributes"] = dict(self.attributes)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SpanInfo":
-        _check_fields(
-            "SpanInfo",
-            payload,
-            {"trace_id", "span_id", "name", "start", "seconds", "parent_id", "attributes"},
-        )
-        return cls(
-            trace_id=_field(payload, "trace_id", str),
-            span_id=_field(payload, "span_id", str),
-            name=_field(payload, "name", str),
-            start=_field(payload, "start", float),
-            seconds=_field(payload, "seconds", float),
-            parent_id=_opt_field(payload, "parent_id", str),
-            attributes=_field(payload, "attributes", dict, default={}),
-        )
+    parent_id: Optional[str] = _elided(None)
+    attributes: Mapping[str, object] = _elided(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_contract
 class TraceInfo:
     """The span tree recorded for one trace (``GET /v1/jobs/<id>/trace``)."""
 
@@ -1037,37 +711,8 @@ class TraceInfo:
     job_id: str = ""
     spans: Tuple[SpanInfo, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(self.spans))
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "trace_id": self.trace_id,
-            "job_id": self.job_id,
-            "spans": [span.to_json_dict() for span in self.spans],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "TraceInfo":
-        _check_fields("TraceInfo", payload, {"trace_id", "job_id", "spans"})
-        return cls(
-            trace_id=_field(payload, "trace_id", str),
-            job_id=_field(payload, "job_id", str, default=""),
-            spans=tuple(
-                SpanInfo.from_json_dict(span)
-                for span in _field(payload, "spans", list, default=[])
-            ),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceInfo":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class SweepResponse:
     """All sweep outcomes plus aggregate counters."""
 
@@ -1080,48 +725,7 @@ class SweepResponse:
     #: Trace spans covering this sweep (coordinator + remote nodes), attached
     #: only by tracing-enabled servers answering ``?wait=1``; omitted from the
     #: JSON rendering when empty so pre-telemetry payloads are unchanged.
-    spans: Tuple[SpanInfo, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", dict(self.counts))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        object.__setattr__(self, "spans", tuple(self.spans))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "wall_seconds": self.wall_seconds,
-            "processes": self.processes,
-            "counts": dict(self.counts),
-            "cache_hits": self.cache_hits,
-            "ok": self.ok,
-            "jobs": [job.to_json_dict() for job in self.jobs],
-        }
-        if self.spans:
-            payload["spans"] = [span.to_json_dict() for span in self.spans]
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepResponse":
-        _check_fields(
-            "SweepResponse",
-            payload,
-            {"wall_seconds", "processes", "counts", "cache_hits", "ok", "jobs", "spans"},
-        )
-        return cls(
-            wall_seconds=_field(payload, "wall_seconds", float),
-            processes=_field(payload, "processes", int),
-            counts=_field(payload, "counts", dict, default={}),
-            cache_hits=_field(payload, "cache_hits", int, default=0),
-            ok=_field(payload, "ok", bool, default=True),
-            jobs=tuple(
-                SweepOutcome.from_json_dict(job)
-                for job in _field(payload, "jobs", list, default=[])
-            ),
-            spans=tuple(
-                SpanInfo.from_json_dict(span)
-                for span in _field(payload, "spans", list, default=[])
-            ),
-        )
+    spans: Tuple[SpanInfo, ...] = _elided(())
 
     def to_stable_json_dict(self) -> Dict[str, object]:
         """Deterministic projection of the whole sweep (see ``SweepOutcome``)."""
@@ -1134,15 +738,8 @@ class SweepResponse:
     def to_stable_json(self) -> str:
         return json.dumps(self.to_stable_json_dict(), indent=2)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResponse":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class ShardInfo:
     """One sweep shard's placement and lifecycle snapshot.
 
@@ -1156,10 +753,9 @@ class ShardInfo:
     problems: Tuple[str, ...] = ()
     node: str = ""
     retries: int = 0
-    error: Optional[ErrorInfo] = None
+    error: Optional[ErrorInfo] = _elided(None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
         if self.state not in SHARD_STATES:
             raise invalid_request(f"unknown shard state {self.state!r}")
         if self.index < 0:
@@ -1167,38 +763,8 @@ class ShardInfo:
         if self.retries < 0:
             raise invalid_request("shard retries must be non-negative")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "index": self.index,
-            "state": self.state,
-            "problems": list(self.problems),
-            "node": self.node,
-            "retries": self.retries,
-        }
-        if self.error is not None:
-            payload["error"] = self.error.to_json_dict()
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ShardInfo":
-        _check_fields(
-            "ShardInfo", payload, {"index", "state", "problems", "node", "retries", "error"}
-        )
-        problems = _field(payload, "problems", list, default=[])
-        if not all(isinstance(name, str) for name in problems):
-            raise invalid_request("shard problems must be a list of strings")
-        error = payload.get("error")
-        return cls(
-            index=_field(payload, "index", int),
-            state=_field(payload, "state", str),
-            problems=tuple(problems),
-            node=_field(payload, "node", str, default=""),
-            retries=_field(payload, "retries", int, default=0),
-            error=ErrorInfo.from_json_dict(error) if error is not None else None,
-        )
-
-
-@dataclass(frozen=True)
+@_contract
 class SweepJobStatus:
     """One asynchronous *sweep* job's lifecycle + per-shard progress.
 
@@ -1212,14 +778,13 @@ class SweepJobStatus:
     id: str
     state: str
     submitted_at: float
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
+    started_at: Optional[float] = _elided(None)
+    finished_at: Optional[float] = _elided(None)
     shards: Tuple[ShardInfo, ...] = ()
-    result: Optional[SweepResponse] = None
-    error: Optional[ErrorInfo] = None
+    result: Optional[SweepResponse] = _elided(None)
+    error: Optional[ErrorInfo] = _elided(None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shards", tuple(self.shards))
         if self.state not in JOB_STATES:
             raise invalid_request(f"unknown job state {self.state!r}")
 
@@ -1227,64 +792,8 @@ class SweepJobStatus:
     def finished(self) -> bool:
         return self.state in (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "id": self.id,
-            "state": self.state,
-            "submitted_at": self.submitted_at,
-        }
-        if self.started_at is not None:
-            payload["started_at"] = self.started_at
-        if self.finished_at is not None:
-            payload["finished_at"] = self.finished_at
-        payload["shards"] = [shard.to_json_dict() for shard in self.shards]
-        if self.result is not None:
-            payload["result"] = self.result.to_json_dict()
-        if self.error is not None:
-            payload["error"] = self.error.to_json_dict()
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "SweepJobStatus":
-        _check_fields(
-            "SweepJobStatus",
-            payload,
-            {
-                "id",
-                "state",
-                "submitted_at",
-                "started_at",
-                "finished_at",
-                "shards",
-                "result",
-                "error",
-            },
-        )
-        result = payload.get("result")
-        error = payload.get("error")
-        return cls(
-            id=_field(payload, "id", str),
-            state=_field(payload, "state", str),
-            submitted_at=_field(payload, "submitted_at", float),
-            started_at=_opt_field(payload, "started_at", float),
-            finished_at=_opt_field(payload, "finished_at", float),
-            shards=tuple(
-                ShardInfo.from_json_dict(shard)
-                for shard in _field(payload, "shards", list, default=[])
-            ),
-            result=SweepResponse.from_json_dict(result) if result is not None else None,
-            error=ErrorInfo.from_json_dict(error) if error is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepJobStatus":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class ProblemPage:
     """One page of registry entries (``GET /v1/problems`` with ``limit``).
 
@@ -1294,41 +803,18 @@ class ProblemPage:
     """
 
     problems: Tuple[ProblemInfo, ...] = ()
-    next_cursor: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "problems": [info.to_json_dict() for info in self.problems]
-        }
-        if self.next_cursor is not None:
-            payload["next_cursor"] = self.next_cursor
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "ProblemPage":
-        _check_fields("ProblemPage", payload, {"problems", "next_cursor"})
-        return cls(
-            problems=tuple(
-                ProblemInfo.from_json_dict(info)
-                for info in _field(payload, "problems", list, default=[])
-            ),
-            next_cursor=_opt_field(payload, "next_cursor", str),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemPage":
-        return cls.from_json_dict(_parse_json_object(text))
+    next_cursor: Optional[str] = _elided(None)
 
 
-@dataclass(frozen=True)
+@_contract
 class CacheEntryInfo:
-    """One persistent cache entry's sidecar metadata."""
+    """One persistent cache entry's metadata (also its on-disk JSON sidecar).
+
+    ``synthesis_seconds`` is the wall-time of the cold run that produced the
+    entry (proof search + extraction + simplification) — the recompute cost
+    the eviction policy protects.  Sidecars written before the field existed
+    read as ``0.0``: maximally cheap, first to go.
+    """
 
     digest: str
     name: str
@@ -1339,47 +825,8 @@ class CacheEntryInfo:
     payload_bytes: int = 0
     synthesis_seconds: float = 0.0
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "digest": self.digest,
-            "name": self.name,
-            "expression": self.expression,
-            "expression_size": self.expression_size,
-            "proof_size": self.proof_size,
-            "created": self.created,
-            "payload_bytes": self.payload_bytes,
-            "synthesis_seconds": self.synthesis_seconds,
-        }
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "CacheEntryInfo":
-        _check_fields(
-            "CacheEntryInfo",
-            payload,
-            {
-                "digest",
-                "name",
-                "expression",
-                "expression_size",
-                "proof_size",
-                "created",
-                "payload_bytes",
-                "synthesis_seconds",
-            },
-        )
-        return cls(
-            digest=_field(payload, "digest", str),
-            name=_field(payload, "name", str),
-            expression=_field(payload, "expression", str),
-            expression_size=_field(payload, "expression_size", int),
-            proof_size=_field(payload, "proof_size", int),
-            created=_field(payload, "created", float),
-            payload_bytes=_field(payload, "payload_bytes", int, default=0),
-            synthesis_seconds=_field(payload, "synthesis_seconds", float, default=0.0),
-        )
-
-
-@dataclass(frozen=True)
+@_contract
 class DiskCacheStats:
     """Persistent-tier inventory of a cache directory.
 
@@ -1392,57 +839,19 @@ class DiskCacheStats:
     cache_dir: str
     entries: Tuple[CacheEntryInfo, ...] = ()
     total_payload_bytes: int = 0
-    next_cursor: Optional[str] = None
+    next_cursor: Optional[str] = _elided(None)
     #: Shared-cache manifest provenance (generation, node_id, updated_at,
     #: plus the serving process's bump/skew-drop counters when available);
     #: omitted from the JSON rendering when the directory has no manifest.
-    manifest: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "manifest", dict(self.manifest))
-
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "cache_dir": self.cache_dir,
-            "entries": [entry.to_json_dict() for entry in self.entries],
-            "total_payload_bytes": self.total_payload_bytes,
-        }
-        if self.next_cursor is not None:
-            payload["next_cursor"] = self.next_cursor
-        if self.manifest:
-            payload["manifest"] = dict(self.manifest)
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "DiskCacheStats":
-        _check_fields(
-            "DiskCacheStats",
-            payload,
-            {"cache_dir", "entries", "total_payload_bytes", "next_cursor", "manifest"},
-        )
-        return cls(
-            cache_dir=_field(payload, "cache_dir", str),
-            entries=tuple(
-                CacheEntryInfo.from_json_dict(entry)
-                for entry in _field(payload, "entries", list, default=[])
-            ),
-            total_payload_bytes=_field(payload, "total_payload_bytes", int, default=0),
-            next_cursor=_opt_field(payload, "next_cursor", str),
-            manifest=_field(payload, "manifest", dict, default={}),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiskCacheStats":
-        return cls.from_json_dict(_parse_json_object(text))
+    manifest: Mapping[str, object] = _elided(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@_contract
 class ProcessCacheStats:
-    """This process's in-memory cache telemetry (no ``cache_dir`` given)."""
+    """This process's in-memory cache telemetry (no ``cache_dir`` given).
+
+    On the wire the fields sit inside a ``"process"`` envelope.
+    """
 
     intern_table: Mapping[str, object] = field(default_factory=dict)
     shared_value_interner: Mapping[str, object] = field(default_factory=dict)
@@ -1456,56 +865,16 @@ class ProcessCacheStats:
     #: WitnessStoreStats`); empty when the cache has no disk directory.
     witness_store: Mapping[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intern_table", dict(self.intern_table))
-        object.__setattr__(self, "shared_value_interner", dict(self.shared_value_interner))
-        object.__setattr__(self, "search_tables", dict(self.search_tables))
-        object.__setattr__(self, "result_cache", dict(self.result_cache))
-        object.__setattr__(self, "witness_store", dict(self.witness_store))
-
     def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "process": {
-                "intern_table": dict(self.intern_table),
-                "shared_value_interner": dict(self.shared_value_interner),
-                "search_tables": dict(self.search_tables),
-                "result_cache": dict(self.result_cache),
-                "witness_store": dict(self.witness_store),
-            }
-        }
+        return {"process": _encode(self)}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, object]) -> "ProcessCacheStats":
-        _check_fields("ProcessCacheStats", payload, {"process"})
-        process = _field(payload, "process", dict, default={})
-        _check_fields(
-            "ProcessCacheStats.process",
-            process,
-            {
-                "intern_table",
-                "shared_value_interner",
-                "search_tables",
-                "result_cache",
-                "witness_store",
-            },
-        )
-        return cls(
-            intern_table=_field(process, "intern_table", dict, default={}),
-            shared_value_interner=_field(process, "shared_value_interner", dict, default={}),
-            search_tables=_field(process, "search_tables", dict, default={}),
-            result_cache=_field(process, "result_cache", dict, default={}),
-            witness_store=_field(process, "witness_store", dict, default={}),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProcessCacheStats":
-        return cls.from_json_dict(_parse_json_object(text))
+        _check_keys("ProcessCacheStats", payload, {"process"})
+        return _decode(cls, payload.get("process", {}), "ProcessCacheStats.process")
 
 
-@dataclass(frozen=True)
+@_contract
 class WitnessInfo:
     """One stored proof witness's metadata (``GET /v1/witnesses``)."""
 
@@ -1514,72 +883,21 @@ class WitnessInfo:
     proof_size: int = 0
     created: float = 0.0
     payload_bytes: int = 0
-    sequent: str = ""
+    sequent: str = _elided("")
 
     def __post_init__(self) -> None:
         if not isinstance(self.digest, str) or not self.digest:
             raise invalid_request("witness digest must be a non-empty string")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "digest": self.digest,
-            "name": self.name,
-            "proof_size": self.proof_size,
-            "created": self.created,
-            "payload_bytes": self.payload_bytes,
-        }
-        if self.sequent:
-            payload["sequent"] = self.sequent
-        return payload
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "WitnessInfo":
-        _check_fields(
-            "WitnessInfo",
-            payload,
-            {"digest", "name", "proof_size", "created", "payload_bytes", "sequent"},
-        )
-        return cls(
-            digest=_field(payload, "digest", str),
-            name=_field(payload, "name", str, default=""),
-            proof_size=_field(payload, "proof_size", int, default=0),
-            created=_field(payload, "created", float, default=0.0),
-            payload_bytes=_field(payload, "payload_bytes", int, default=0),
-            sequent=_field(payload, "sequent", str, default=""),
-        )
-
-
-@dataclass(frozen=True)
+@_contract
 class WitnessPage:
     """The witness-store inventory (``GET /v1/witnesses``), newest first."""
 
     witnesses: Tuple[WitnessInfo, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"witnesses": [info.to_json_dict() for info in self.witnesses]}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "WitnessPage":
-        _check_fields("WitnessPage", payload, {"witnesses"})
-        return cls(
-            witnesses=tuple(
-                WitnessInfo.from_json_dict(info)
-                for info in _field(payload, "witnesses", list, default=[])
-            )
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WitnessPage":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-@dataclass(frozen=True)
+@_contract
 class WitnessPayload:
     """One witness with its portable payload, base64-encoded.
 
@@ -1589,45 +907,11 @@ class WitnessPayload:
     """
 
     payload: str
-    info: Optional[WitnessInfo] = None
+    info: Optional[WitnessInfo] = _elided(None)
 
     def __post_init__(self) -> None:
         if not isinstance(self.payload, str) or not self.payload:
             raise invalid_request("witness payload must be a non-empty base64 string")
-
-    def to_json_dict(self) -> Dict[str, object]:
-        body: Dict[str, object] = {"payload": self.payload}
-        if self.info is not None:
-            body["info"] = self.info.to_json_dict()
-        return body
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping[str, object]) -> "WitnessPayload":
-        _check_fields("WitnessPayload", payload, {"payload", "info"})
-        info = payload.get("info")
-        return cls(
-            payload=_field(payload, "payload", str),
-            info=WitnessInfo.from_json_dict(info) if info is not None else None,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WitnessPayload":
-        return cls.from_json_dict(_parse_json_object(text))
-
-
-def _parse_json_object(text) -> Mapping[str, object]:
-    try:
-        payload = json.loads(text)
-    except (ValueError, TypeError) as exc:
-        raise invalid_request(f"request body is not valid JSON: {exc}") from exc
-    if not isinstance(payload, Mapping):
-        raise invalid_request(
-            f"request body must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
 
 
 #: Every serializable contract type, for the round-trip property tests.

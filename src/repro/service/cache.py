@@ -31,7 +31,6 @@ is disposable; a multi-second copy-chain proof is kept).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -48,6 +47,7 @@ from repro.logic.terms import Var
 from repro.nr.columns import reset_shared_interner, shared_interner_stats
 from repro.nrc.expr import expr_size
 from repro.obs.trace import get_tracer
+from repro.service.api import ApiError, CacheEntryInfo
 from repro.service.manifest import MANIFEST_NAME, CacheManifest
 from repro.specs.problems import ImplicitDefinitionProblem
 from repro.synthesis.implicit_to_explicit import SynthesisResult
@@ -131,34 +131,6 @@ class CacheStats:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
-
-
-@dataclass
-class DiskEntry:
-    """One on-disk cache entry's metadata (from its JSON sidecar).
-
-    ``synthesis_seconds`` is the wall-time of the cold run that produced the
-    entry (proof search + extraction + simplification) — the recompute cost
-    the eviction policy protects.  Sidecars written before the field existed
-    read as ``0.0``: maximally cheap, first to go.
-    """
-
-    digest: str
-    name: str
-    expression: str
-    expression_size: int
-    proof_size: int
-    created: float
-    payload_bytes: int = 0
-    synthesis_seconds: float = 0.0
-
-    def to_api(self) -> "api_module.CacheEntryInfo":
-        from repro.service import api as api_module
-
-        return api_module.CacheEntryInfo(**self.__dict__)
-
-    def as_dict(self) -> Dict[str, object]:
-        return self.to_api().to_json_dict()
 
 
 class SynthesisCache:
@@ -569,7 +541,7 @@ class SynthesisCache:
     ) -> None:
         payload_path, meta_path = self._entry_paths(digest)
         blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        meta = DiskEntry(
+        meta = CacheEntryInfo(
             digest=digest,
             name=problem.name,
             expression=str(result.expression),
@@ -580,7 +552,7 @@ class SynthesisCache:
             synthesis_seconds=round(cost_seconds, 6),
         )
         _atomic_write_bytes(payload_path, blob)
-        _atomic_write_bytes(meta_path, (json.dumps(meta.as_dict(), indent=2) + "\n").encode())
+        _atomic_write_bytes(meta_path, (meta.to_json() + "\n").encode())
 
     def _disk_evict(self, digest: str) -> None:
         for path in self._entry_paths(digest):
@@ -589,23 +561,22 @@ class SynthesisCache:
             except OSError:
                 pass
 
-    def disk_entries(self) -> List[DiskEntry]:
+    def disk_entries(self) -> List[CacheEntryInfo]:
         """Metadata of every persistent entry (newest first)."""
         if self.disk_dir is None:
             return []
         return disk_entries(self.disk_dir)
 
 
-def disk_entries(disk_dir: os.PathLike) -> List[DiskEntry]:
+def disk_entries(disk_dir: os.PathLike) -> List[CacheEntryInfo]:
     """Read every JSON sidecar under ``disk_dir`` (tolerating corrupt ones)."""
     entries = []
     for meta_path in sorted(Path(disk_dir).glob("*.json")):
         if meta_path.name == MANIFEST_NAME:
             continue
         try:
-            raw = json.loads(meta_path.read_text())
-            entries.append(DiskEntry(**raw))
-        except (OSError, ValueError, TypeError):
+            entries.append(CacheEntryInfo.from_json(meta_path.read_text()))
+        except (OSError, ValueError, ApiError):
             continue
     entries.sort(key=lambda entry: entry.created, reverse=True)
     return entries

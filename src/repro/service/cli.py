@@ -716,17 +716,7 @@ def _witness_infos(args) -> List[api.WitnessInfo]:
         page = api.WitnessPage.from_json_dict(_http(f"{base}/{api.API_VERSION}/witnesses"))
         return list(page.witnesses)
     store = _witness_store_for(args)
-    return [
-        api.WitnessInfo(
-            digest=summary.digest,
-            name=summary.name,
-            proof_size=summary.proof_size,
-            created=summary.created,
-            payload_bytes=summary.payload_bytes,
-            sequent=summary.sequent,
-        )
-        for summary in store.list()
-    ]
+    return [summary.to_api() for summary in store.list()]
 
 
 def _cmd_witness(args) -> int:

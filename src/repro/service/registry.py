@@ -10,11 +10,12 @@ repro synthesize union_view`` — and sweepable as a family.  Each
   for the pipeline's batched verification stage, and
 * an ``expected`` outcome: ``"ok"`` entries must synthesize with the bundled
   search, ``"xfail"`` marks the known interpolation limitation
-  (``selection_view``, see DESIGN.md §7) and ``"hard"`` marks instances whose
-  determinacy proofs exceed any practical automated-search budget (the
-  nested Examples 1.1/4.1 — the paper leaves witness discovery open,
-  Section 7).  Sweeps run ``"ok"`` entries by default and report the others
-  instead of failing on them.
+  (``selection_view``, see ARCHITECTURE.md, "Documented deviations and
+  limitations") and ``"hard"`` marks instances whose determinacy proofs
+  exceed any practical automated-search budget (the nested Examples 1.1/4.1
+  — the paper leaves witness discovery open, Section 7).  Sweeps run
+  ``"ok"`` entries by default and report the others instead of failing on
+  them.
 
 :func:`default_registry` returns the process-wide registry: the paper's
 examples plus the parametric scenario families of
@@ -181,7 +182,7 @@ def build_default_registry(
     registry.register(
         "selection_view",
         examples.selection_view,
-        "Selection over an identity view; interpolation is a known limitation (DESIGN.md §7).",
+        "Selection over an identity view; interpolation is a known limitation (ARCHITECTURE.md).",
         tags=("paper", "flat"),
         expected=EXPECTED_XFAIL,
         # A depth-5 search already reaches the proof whose interpolant

@@ -342,7 +342,7 @@ class SynthesisService:
         manifest_info: Dict[str, object] = dict(manifest_state.to_json_dict())
         return api.DiskCacheStats(
             cache_dir=str(cache_dir),
-            entries=tuple(entry.to_api() for entry in entries),
+            entries=entries,
             total_payload_bytes=total_payload_bytes,
             next_cursor=next_cursor,
             manifest=manifest_info,
@@ -362,19 +362,7 @@ class SynthesisService:
         summaries = self._witness_store().list()
         if limit is not None:
             summaries = summaries[:limit]
-        return api.WitnessPage(
-            witnesses=tuple(
-                api.WitnessInfo(
-                    digest=summary.digest,
-                    name=summary.name,
-                    proof_size=summary.proof_size,
-                    created=summary.created,
-                    payload_bytes=summary.payload_bytes,
-                    sequent=summary.sequent,
-                )
-                for summary in summaries
-            )
-        )
+        return api.WitnessPage(witnesses=tuple(summary.to_api() for summary in summaries))
 
     def get_witness(self, digest: str) -> api.WitnessPayload:
         """One witness's portable payload (``GET /v1/witnesses/<digest>``)."""
@@ -385,14 +373,7 @@ class SynthesisService:
         info = None
         for summary in store.list():
             if summary.digest == digest:
-                info = api.WitnessInfo(
-                    digest=summary.digest,
-                    name=summary.name,
-                    proof_size=summary.proof_size,
-                    created=summary.created,
-                    payload_bytes=summary.payload_bytes,
-                    sequent=summary.sequent,
-                )
+                info = summary.to_api()
                 break
         return api.WitnessPayload(payload=base64.b64encode(blob).decode("ascii"), info=info)
 

@@ -181,11 +181,6 @@ def warmed_search_factory(
     return factory
 
 
-def reset_warm_cache() -> None:
-    """Forget per-process warmed tables (tests; long-lived servers on evict)."""
-    _WARM_SUCCESSES.clear()
-
-
 # ----------------------------------------------------- typed request execution
 def resolve_request_entry(
     request: api.SynthesizeRequest, registry: Optional[ProblemRegistry] = None

@@ -19,7 +19,7 @@ The algorithm follows the paper:
   ``get`` (Appendix G);
 * product outputs — synthesize each component and pair the results
   (Appendix G; the component witnesses are re-derived with the proof-search
-  substrate, see DESIGN.md §5);
+  substrate, see ARCHITECTURE.md, "Documented deviations and limitations");
 * ``Unit`` outputs — the constant ``()``.
 """
 
@@ -239,7 +239,8 @@ def _synthesize_product(
 
     The paper derives the component witnesses from the given proof via
     substitutivity (Lemma 16), ∧-inversion and the ×β rule; we re-derive them
-    with the proof-search substrate instead (see DESIGN.md §5) and synthesize
+    with the proof-search substrate instead (see
+    ARCHITECTURE.md, "Documented deviations and limitations") and synthesize
     each component recursively.
     """
     components = []

@@ -27,7 +27,8 @@ the family; the membership check is one integer binary search per row).
 This module also hosts ``collect_set_answers``, the set case of Theorem 10.
 This release wires the Unit/Ur/product cases of Theorem 10 end to end; the
 nested set case additionally requires the Lemma 6/Lemma 7 proof transformers,
-which are left as documented future work (see DESIGN.md §7) — parameter
+which are left as documented future work (see
+ARCHITECTURE.md, "Documented deviations and limitations") — parameter
 collection itself is fully implemented and tested standalone.
 """
 
@@ -349,9 +350,9 @@ def collect_set_answers(proof, target, lhs, inputs, left_formulas, right_formula
     Not wired end-to-end in this release: synthesizing outputs whose *element*
     type itself contains sets (e.g. Example 4.1's ``Set(Ur × Set(Ur))``) needs
     the Lemma 6 and Lemma 7 proof transformations feeding
-    :func:`parameter_collection`.  See DESIGN.md §7 ("Limitations and future
-    work").  Parameter collection itself is implemented above and covered by
-    the test-suite on stand-alone goals.
+    :func:`parameter_collection`.  See ARCHITECTURE.md, "Documented deviations
+    and limitations".  Parameter collection itself is implemented above and
+    covered by the test-suite on stand-alone goals.
     """
     raise SynthesisError(
         "the nested set case of Theorem 10 (Lemma 6/7 plumbing) is not wired end-to-end in this "

@@ -162,6 +162,12 @@ class WitnessSummary:
     def as_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
 
+    def to_api(self):
+        """The same metadata as the service's wire contract ``api.WitnessInfo``."""
+        from repro.service.api import WitnessInfo  # deferred: repro.service imports this module
+
+        return WitnessInfo(**self.as_dict())
+
 
 class WitnessStore:
     """The ``witnesses/`` disk tier: digest → checked proof tree.

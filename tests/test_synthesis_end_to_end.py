@@ -73,7 +73,8 @@ def test_synthesize_union_and_intersection_views():
 
 @pytest.mark.xfail(
     reason="known limitation: interpolant witness-elimination bookkeeping does not yet cover the "
-    "cross-side equality chains of this determinacy proof (DESIGN.md §7)",
+    "cross-side equality chains of this determinacy proof (ARCHITECTURE.md, 'Documented deviations "
+    "and limitations')",
     strict=False,
 )
 def test_synthesize_selection_view():
