@@ -16,6 +16,23 @@ goal-directed tableau tuned to the focused discipline of Figure 3:
    witness you just introduced", so this heuristic finds them quickly.
 3. The number of ∃ applications per branch is iteratively deepened.
 
+Redundant ∀-instantiations are never offered.  The focused ∃-rule keeps its
+principal in Δ, but the ∀-rule deletes its own, so an ∃-move whose
+specialization is a ∀ the branch has already decomposed would otherwise be
+offered again — and would only add a renamed copy of a branch the search
+already has.  Concretely, an ∃-move whose specialized formula is
+``∀y∈C. χ(y)`` is skipped when Θ holds some ``y0 ∈ C`` with ``χ[y0/y] ∈ Δ``.
+This is safe: its premise ``Θ ⊢ Δ, ∀y∈C. χ(y)`` reduces (in the stable phase
+the ∀ is the only invertible formula) to ``Θ, y∈C ⊢ Δ, χ(y)`` with ``y``
+fresh.  Substituting ``y0`` for ``y`` in any proof of that premise and
+merging the now-duplicate set elements (``y0∈C`` is already in Θ, ``χ(y0)``
+already in Δ, and Θ, Δ do not mention ``y``) yields a proof of ``Θ ⊢ Δ``
+that uses no more ∃-moves on any branch.  So the skipped move is never the
+only route to a proof within a budget, and failure entries (below) stay
+valid.  The instances ``χ[y0/y]`` depend only on ``(principal, Θ)``, so they
+are computed once per :data:`_Expansion`; the per-sequent check is a
+membership test against Δ.
+
 Search state is memoized in a :class:`SearchTables` transposition table keyed
 on the (hash-consed) sequent:
 
@@ -80,8 +97,6 @@ def _render_key(formula: Formula) -> str:
     return key if key is not None else str(formula)
 
 
-#: Distinct sentinel: a *cached* "no equality closure exists for this sequent"
-#: (``None`` in the cache slot would be indistinguishable from a miss).
 def _seed_free_vars(premise: Sequent, sequent: Sequent) -> None:
     """Propagate the cached free-variable set to a premise that preserves it.
 
@@ -97,6 +112,8 @@ def _seed_free_vars(premise: Sequent, sequent: Sequent) -> None:
         object.__setattr__(premise, "_fv", fv)
 
 
+#: Distinct sentinel: a *cached* "no equality closure exists for this sequent"
+#: (``None`` in the cache slot would be indistinguishable from a miss).
 _NO_CLOSURE = object()
 
 #: Hoisted nullary formulas: membership tests against a module-level instance
@@ -113,8 +130,11 @@ _Move = Tuple[Exists, Tuple[Term, ...], Formula, Tuple[Member, ...], float, str]
 
 #: One maximal specialization of a principal against a Θ — the Δ-independent
 #: tail of a :data:`_Move` (witnesses, specialized, consumed, static score,
-#: tiebreak), cached per ``(principal, Θ)`` pair.
-_Expansion = Tuple[Tuple[Term, ...], Formula, Tuple[Member, ...], float, str]
+#: tiebreak) plus, when the specialization is ``∀y∈C. χ(y)``, its instances
+#: ``χ[y0/y]`` for every ``y0 ∈ C`` in Θ (empty otherwise): the move is
+#: redundant wherever Δ already holds one of them.  Cached per
+#: ``(principal, Θ)`` pair.
+_Expansion = Tuple[Tuple[Term, ...], Formula, Tuple[Member, ...], float, str, Tuple[Formula, ...]]
 
 
 class SearchTables:
@@ -215,6 +235,9 @@ class SearchStats:
     table_hits: int = 0
     #: Stable states skipped because an equal-or-deeper exploration failed.
     failure_hits: int = 0
+    #: ∃-moves dropped at enumeration because their specialization is a ∀
+    #: whose instance over some Θ element is already in Δ.
+    redundant_moves: int = 0
 
 
 class ProofSearch:
@@ -453,7 +476,13 @@ class ProofSearch:
             static_score = (
                 2.0 if isinstance(specialized, (EqUr, NeqUr)) else 0.0
             ) - formula_size(specialized) / 50.0
-            result.append((witnesses, specialized, consumed, static_score, str(specialized)))
+            instances: Tuple[Formula, ...] = ()
+            if isinstance(specialized, Forall):
+                instances = tuple(
+                    substitute(specialized.body, specialized.var, elem)
+                    for elem in by_collection.get(specialized.bound, ())
+                )
+            result.append((witnesses, specialized, consumed, static_score, str(specialized), instances))
         expansions[key] = result
         return result
 
@@ -464,8 +493,9 @@ class ProofSearch:
         distinct sequent — and the expensive part (witness enumeration with
         its substitutions) at most once per ``(principal, Θ)`` via
         :meth:`_expand_principal`.  Per-sequent work reduces to filtering
-        specializations already present in Δ; per-visit work reduces to
-        recency scoring + one sort.
+        specializations already present in Δ and redundant ∀-instantiations
+        (see the module docstring); per-visit work reduces to recency
+        scoring + one sort.
         """
         moves_cache = self.tables.moves
         cached = moves_cache.get(sequent)
@@ -476,10 +506,13 @@ class ProofSearch:
         delta = sequent.delta
         theta = sequent.theta
         for principal in sorted((f for f in delta if isinstance(f, Exists)), key=_render_key):
-            for witnesses, specialized, consumed, static_score, tiebreak in self._expand_principal(
+            for witnesses, specialized, consumed, static_score, tiebreak, instances in self._expand_principal(
                 principal, theta
             ):
                 if specialized in delta:
+                    continue
+                if instances and any(instance in delta for instance in instances):
+                    self.stats.redundant_moves += 1
                     continue
                 key = (principal, specialized)
                 if key in seen:

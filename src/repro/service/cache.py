@@ -279,6 +279,21 @@ class SynthesisCache:
                 return "disk"
         return None
 
+    def _promote(self, problem: ImplicitDefinitionProblem) -> bool:
+        """Load ``problem``'s disk entry into the memory tier, uncounted.
+
+        For a caller that peeked a disk hit and will run the pipeline next:
+        the pipeline's own ``lookup`` counts the one hit, so promotion must
+        not count another.  ``False`` when the entry is gone or unreadable.
+        """
+        if self.disk_dir is None:
+            return False
+        result = self._disk_load(spec_digest(problem))
+        if result is None:
+            return False
+        self._memory_store(spec_key(problem), result)
+        return True
+
     # ----------------------------------------------------------------- store
     def store(
         self,

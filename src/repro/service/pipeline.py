@@ -534,6 +534,9 @@ class SynthesisPipeline:
                         "rules": rules_used(proof),
                         "attempts": search.stats.attempts,
                         "exists_moves": search.stats.exists_moves,
+                        "table_hits": search.stats.table_hits,
+                        "failure_hits": search.stats.failure_hits,
+                        "redundant_moves": search.stats.redundant_moves,
                     }
                 )
             registry = get_registry()
@@ -547,6 +550,10 @@ class SynthesisPipeline:
             registry.counter(
                 "repro_proof_failure_hits_total", "Known-dead-end skips during proof search"
             ).inc(search.stats.failure_hits)
+            registry.counter(
+                "repro_proof_redundant_moves_total",
+                "Redundant forall-instantiations pruned during proof search",
+            ).inc(search.stats.redundant_moves)
 
         replay_span = (
             get_tracer().span(

@@ -478,21 +478,22 @@ class SynthesisService:
         Only cache-tier traffic qualifies: a verification family or a custom
         cache directory means real work that belongs on a worker.  The peek
         is mutation-free; on a hit the inline pipeline run is just validate +
-        lookup (microseconds), which is safe on the event loop.
+        lookup (microseconds), which is safe on the event loop.  The
+        pipeline's lookup is the only one that counts the hit.
         """
         if request.verify_scale or request.cache_dir:
             return None
         problem = entry.problem()
-        if self.cache.peek(problem) is None:
+        tier = self.cache.peek(problem)
+        if tier is None:
             return None
-        # Confirm the hit before running anything inline: a peeked disk entry
-        # can be corrupt or concurrently evicted, and falling through to a
-        # cold proof search here would block the event loop for seconds.
-        # ``lookup`` promotes the entry to the memory tier, so the inline
-        # pipeline run below is guaranteed a memory hit (nothing can evict
-        # it between these two statements — no awaits, same thread).
-        result, _tier = self.cache.lookup(problem)
-        if result is None:
+        # A peeked disk entry can be corrupt or concurrently evicted, and
+        # falling through to a cold proof search here would block the event
+        # loop for seconds, so it is promoted (uncounted) before anything
+        # runs inline.  The pipeline run below is then guaranteed a memory
+        # hit: nothing can evict the entry between these statements (no
+        # awaits, same thread).
+        if tier == "disk" and not self.cache._promote(problem):
             return None
         response, _, _ = execute_synthesize_request(
             request, registry=self.registry, cache=self.cache

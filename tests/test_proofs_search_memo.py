@@ -5,21 +5,23 @@ uncached search would have produced, so the core of this suite is
 differential — the memoized :class:`ProofSearch` against the frozen
 :class:`ReferenceProofSearch` on the registry examples, with the independent
 proof checker validating both sides.  The rest covers the sharing contract
-(success/failure reuse across instances on one :class:`SearchTables`) and
-the size bound.
+(success/failure reuse across instances on one :class:`SearchTables`), the
+size bound, and the redundant ∀-instantiation prune (which must leave every
+found proof unchanged while cutting the ``copy_chain`` search).
 """
 
 import pytest
 
-from repro.logic.formulas import EqUr, NeqUr
+from repro.logic.formulas import EqUr, Exists, Forall, Member, NeqUr
 from repro.logic.terms import Var
-from repro.nr.types import UR
+from repro.nr.types import UR, SetType
 from repro.proofs.checker import check_proof
 from repro.proofs.prooftree import ProofNode, proof_size
 from repro.proofs.reference_search import ReferenceProofSearch
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
 from repro.specs import examples
+from repro.specs.fuzz import generate_spec
 
 EXAMPLES = {
     "identity_view": examples.identity_view,
@@ -29,6 +31,7 @@ EXAMPLES = {
     "unique_element": examples.unique_element,
     "pair_tower_3": lambda: examples.pair_tower(3),
     "copy_chain_1": lambda: examples.copy_chain(1),
+    "copy_chain_2": lambda: examples.copy_chain(2),
 }
 
 
@@ -65,6 +68,54 @@ def test_memoized_search_finds_the_reference_proof(name):
     reference = ReferenceProofSearch(max_depth=12).prove(goal)
     check_proof(memoized)
     assert _same_tree(memoized, reference)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoized_search_finds_the_reference_proof_on_fuzz_goals(seed):
+    for index in range(16):
+        goal = generate_spec(seed, index).problem.determinacy_goal()
+        memoized = ProofSearch(max_depth=12).prove(goal)
+        reference = ReferenceProofSearch(max_depth=12).prove(goal)
+        check_proof(memoized)
+        assert _same_tree(memoized, reference), (seed, index)
+
+
+def _forall_move_sequent(with_instance: bool) -> Sequent:
+    """``a∈A, y0∈C ⊢ ∃x∈A. ∀y∈C. x = y`` plus, optionally, ``a = y0``.
+
+    The only ∃-move specializes to ``∀y∈C. a = y``; its instance over the
+    Θ element ``y0`` is ``a = y0``.
+    """
+    setur = SetType(UR)
+    a, x, y, y0 = (Var(name, UR) for name in ("a", "x", "y", "y0"))
+    big_a, big_c = Var("A", setur), Var("C", setur)
+    principal = Exists(x, big_a, Forall(y, big_c, EqUr(x, y)))
+    delta = [principal] + ([EqUr(a, y0)] if with_instance else [])
+    return Sequent.of([Member(a, big_a), Member(y0, big_c)], delta)
+
+
+def test_forall_move_with_an_instance_in_delta_is_not_offered():
+    search = ProofSearch()
+    assert search._enumerate_moves(_forall_move_sequent(with_instance=True)) == []
+    assert search.stats.redundant_moves == 1
+
+
+def test_forall_move_without_an_instance_in_delta_is_offered():
+    search = ProofSearch()
+    moves = search._enumerate_moves(_forall_move_sequent(with_instance=False))
+    a, y, big_c = Var("a", UR), Var("y", UR), Var("C", SetType(UR))
+    assert [move[2] for move in moves] == [Forall(y, big_c, EqUr(a, y))]
+    assert search.stats.redundant_moves == 0
+
+
+def test_copy_chain_3_search_stays_polynomial():
+    """Without the prune this search took 151,470 attempts (≈5 s)."""
+    search = ProofSearch(max_depth=16)
+    proof = search.prove(examples.copy_chain(3).determinacy_goal())
+    check_proof(proof)
+    assert proof_size(proof) == 57
+    assert search.stats.attempts <= 10_000
+    assert search.stats.redundant_moves > 0
 
 
 def test_repeat_proof_is_deterministic():

@@ -124,6 +124,23 @@ def test_warm_submissions_bypass_the_queue():
     asyncio.run(scenario())
 
 
+def test_warm_submissions_count_one_cache_hit_each(tmp_path):
+    async def scenario():
+        service = SynthesisService(cache_dir=str(tmp_path))
+        request = api.SynthesizeRequest(problem="union_view")
+        await service.wait((await service.submit(request)).id)
+        for fresh in (service, SynthesisService(cache_dir=str(tmp_path))):
+            # On the fresh service the first submission peeks the disk tier.
+            before = fresh.cache.stats.hits
+            for _ in range(5):
+                warm = await fresh.submit(request)
+                assert warm.state == api.JOB_DONE and warm.result.cache_hit
+            assert fresh.cache.stats.hits == before + 5
+            assert fresh.warm_submissions == 5
+
+    asyncio.run(scenario())
+
+
 def test_unknown_job_and_unknown_problem():
     async def scenario():
         service = SynthesisService()
@@ -140,7 +157,7 @@ def test_unknown_job_and_unknown_problem():
 def test_queue_bound_rejects_excess_submissions():
     async def scenario():
         service = SynthesisService(max_workers=1, queue_limit=1)
-        slow = api.SynthesizeRequest(problem="copy_chain_3")
+        slow = api.SynthesizeRequest(problem="example_4_1")
         first = await service.submit(slow)
         with pytest.raises(api.ApiError) as excinfo:
             await service.submit(api.SynthesizeRequest(problem="copy_chain_2"))
@@ -158,7 +175,7 @@ def test_per_job_timeout_is_a_structured_error():
     async def scenario():
         service = SynthesisService()
         status = await service.submit(
-            api.SynthesizeRequest(problem="copy_chain_3", timeout=0.6)
+            api.SynthesizeRequest(problem="example_4_1", timeout=0.6)
         )
         final = await service.wait(status.id, timeout=60)
         assert final.state == api.JOB_FAILED
@@ -171,7 +188,7 @@ def test_per_job_timeout_is_a_structured_error():
 def test_cancel_running_job_terminates_the_worker():
     async def scenario():
         service = SynthesisService()
-        status = await service.submit(api.SynthesizeRequest(problem="copy_chain_3"))
+        status = await service.submit(api.SynthesizeRequest(problem="example_4_1"))
         # Let the job reach the worker process, then cancel it.
         for _ in range(100):
             await asyncio.sleep(0.02)
@@ -279,7 +296,7 @@ def test_http_error_taxonomy(server):
     code, body = http_error(
         http_post,
         server.url + "/v1/synthesize?wait=1",
-        {"problem": "copy_chain_3", "timeout": 0.5},
+        {"problem": "example_4_1", "timeout": 0.5},
     )
     assert code == 504 and body["error"]["code"] == "timeout"
 
