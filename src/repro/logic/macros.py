@@ -16,6 +16,7 @@ All macros produce plain Δ0 formulas (never primitive membership literals).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.core import node as core
@@ -42,9 +43,15 @@ def negate(formula: Formula) -> Formula:
     """Negation as a macro: dualize every connective (Section 3).
 
     Runs as a single bottom-up fold on the core engine (iterative, so deep
-    formulas do not overflow the stack); terms are left untouched.
+    formulas do not overflow the stack); terms are left untouched.  The
+    result is memoized on the root (``_neg``): synthesis negates the same
+    specification for the goal, every partition and answer collection.
     """
-    return core.fold(formula, _negate_combine)
+    cached = formula.__dict__.get("_neg")
+    if cached is None:
+        cached = core.fold(formula, _negate_combine)
+        object.__setattr__(formula, "_neg", cached)
+    return cached
 
 
 def _negate_combine(node: core.Node, negated: tuple) -> core.Node:
@@ -91,8 +98,15 @@ def _avoid_vars(*terms: Term) -> set:
     return avoid
 
 
+@lru_cache(maxsize=1024)
 def equivalent(left: Term, right: Term, typ: Optional[Type] = None) -> Formula:
-    """Equality up to extensionality ``left ≡_T right`` (a Δ0 macro)."""
+    """Equality up to extensionality ``left ≡_T right`` (a Δ0 macro).
+
+    A pure function of its (hashable, frozen) arguments — bound variables
+    are named from the operands only — so results are memoized: every
+    determinacy goal rebuilds ``o ≡ o'``, which for nested output types
+    unfolds into dozens of nodes.
+    """
     if typ is None:
         typ = term_type(left)
     right_type = term_type(right)

@@ -31,7 +31,7 @@ from repro.logic.formulas import And, Exists, Forall, Formula, Member
 from repro.logic.free_vars import substitute, substitute_many, substitute_term
 from repro.logic.terms import Term, Var
 from repro.proofs import focused
-from repro.proofs.prooftree import ProofNode
+from repro.proofs.prooftree import ProofNode, SequentRewriter
 from repro.proofs.sequents import Sequent
 
 
@@ -162,14 +162,11 @@ def substitute_proof(proof: ProofNode, mapping: Mapping[Var, Term]) -> ProofNode
     def sub_term(term: Term) -> Term:
         return substitute_term(term, mapping)
 
-    def sub_atom(atom: Member) -> Member:
-        return Member(sub_term(atom.elem), sub_term(atom.collection))
+    sequents = SequentRewriter(sub_formula)
+    sequents.learn(proof)
 
     def walk(node: ProofNode) -> ProofNode:
-        sequent = Sequent(
-            frozenset(sub_atom(a) for a in node.sequent.theta),
-            frozenset(sub_formula(f) for f in node.sequent.delta),
-        )
+        sequent = sequents.sequent(node.sequent)
         meta = dict(node.meta)
         for key in ("principal", "source", "target", "neq", "specialized"):
             if key in meta and isinstance(meta[key], Formula):
@@ -214,8 +211,8 @@ def _replace_formula_walk(
         if extra_theta and not set(extra_theta) <= inner.sequent.theta:
             inner = weaken_proof(inner, extra_theta=extra_theta)
         return inner
-    new_delta = frozenset(replacement if f == target else f for f in sequent.delta)
-    new_sequent = Sequent(sequent.theta | frozenset(extra_theta), new_delta)
+    new_delta = sequent.delta.difference((target,)).union((replacement,))
+    new_sequent = Sequent(sequent.theta.union(extra_theta), new_delta)
     return _rebuild(
         node,
         new_sequent,

@@ -168,6 +168,11 @@ def specialize(formula: Formula, witnesses: Sequence[Term]) -> Formula:
 
 def specialization_bounds(formula: Formula, witnesses: Sequence[Term]) -> List[Term]:
     """The successive (already substituted) bounds matched by each witness."""
+    return _specialize_with_bounds(formula, witnesses)[1]
+
+
+def _specialize_with_bounds(formula: Formula, witnesses: Sequence[Term]) -> Tuple[Formula, List[Term]]:
+    """:func:`specialize` and :func:`specialization_bounds` in one pass."""
     bounds: List[Term] = []
     current = formula
     for witness in witnesses:
@@ -175,16 +180,14 @@ def specialization_bounds(formula: Formula, witnesses: Sequence[Term]) -> List[T
             raise RuleApplicationError(f"cannot specialize non-existential {current}")
         bounds.append(current.bound)
         current = substitute(current.body, current.var, witness)
-    return bounds
+    return current, bounds
 
 
-def is_maximal_specialization(formula: Formula, witnesses: Sequence[Term], theta: Iterable[Member]) -> bool:
-    """Check maximality: after the block is instantiated, no ∈-atom applies further."""
-    theta = list(theta)
-    result = specialize(formula, witnesses)
-    if not isinstance(result, Exists):
+def _is_maximal(specialized: Formula, theta: Iterable[Member]) -> bool:
+    """Maximality of a block specialization: no ∈-atom of Θ applies further."""
+    if not isinstance(specialized, Exists):
         return True
-    return not any(atom.collection == result.bound for atom in theta)
+    return not any(atom.collection == specialized.bound for atom in theta)
 
 
 def enumerate_max_specializations(
@@ -236,22 +239,28 @@ def enumerate_max_specializations_with_bounds(
 def exists_premises(
     sequent: Sequent, principal: Exists, witnesses: Sequence[Term], require_maximal: bool = True
 ) -> Tuple[Sequent, ...]:
+    return (sequent.with_delta(_exists_specialized(sequent, principal, witnesses, require_maximal)),)
+
+
+def _exists_specialized(
+    sequent: Sequent, principal: Exists, witnesses: Sequence[Term], require_maximal: bool
+) -> Formula:
+    """Validate an ∃-rule application; returns the specialized formula."""
     if principal not in sequent.delta:
         raise RuleApplicationError(f"∃ rule: {principal} not in the sequent")
     if not all_el(sequent.delta):
         raise RuleApplicationError("∃ rule requires every right-hand formula to be EL")
     if not witnesses:
         raise RuleApplicationError("∃ rule requires at least one witness")
-    bounds = specialization_bounds(principal, witnesses)
+    specialized, bounds = _specialize_with_bounds(principal, witnesses)
     for witness, bound in zip(witnesses, bounds):
         if Member(witness, bound) not in sequent.theta:
             raise RuleApplicationError(
                 f"∃ rule: membership {witness} ∈ {bound} is not in the ∈-context"
             )
-    if require_maximal and not is_maximal_specialization(principal, witnesses, sequent.theta):
+    if require_maximal and not _is_maximal(specialized, sequent.theta):
         raise RuleApplicationError("∃ rule: the specialization is not maximal w.r.t. Θ")
-    specialized = specialize(principal, witnesses)
-    return (sequent.with_delta(specialized),)
+    return specialized
 
 
 def make_exists(
@@ -268,12 +277,12 @@ def make_exists(
     by the proof transformations of Appendix F (the node is tagged
     ``partial`` so the checker re-validates it under the same relaxation).
     """
-    (expected,) = exists_premises(sequent, principal, witnesses, require_maximal)
-    _require_premise(expected, premise, "∃")
+    specialized = _exists_specialized(sequent, principal, witnesses, require_maximal)
+    _require_premise(sequent.with_delta(specialized), premise, "∃")
     meta = {
         "principal": principal,
         "witnesses": tuple(witnesses),
-        "specialized": specialize(principal, witnesses),
+        "specialized": specialized,
     }
     if not require_maximal:
         meta["partial"] = True

@@ -12,7 +12,7 @@ calculus regardless of what the metadata claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from repro.proofs.sequents import Sequent
 
@@ -81,6 +81,75 @@ def iter_nodes(node: ProofNode) -> Iterator[ProofNode]:
     yield node
     for premise in node.premises:
         yield from iter_nodes(premise)
+
+
+class SequentRewriter:
+    """Rewrites the sequents of proof trees under one member-level ``rewrite``.
+
+    ``rewrite`` maps a sequent member (∈-atom or formula) to its image and
+    returns the member itself when nothing changes.  The sequents of a proof
+    share most of their members, so :meth:`learn` rewrites each distinct
+    member once and records the ones that change; a member set is then
+    rewritten by one intersection with that record plus a rebuild of the few
+    members it hits.  Frozenset intersection, difference and union reuse the
+    hashes the sets already store, so unchanged members are neither
+    re-hashed nor visited in Python.
+    """
+
+    def __init__(self, rewrite: Callable[[Any], Any]) -> None:
+        self.rewrite = rewrite
+        self._stale: FrozenSet[Any] = frozenset()
+        self._learned: FrozenSet[Any] = frozenset()
+        self._images: Dict[int, Any] = {}
+
+    def learn(self, proof: ProofNode) -> None:
+        """Rewrite every sequent member of ``proof`` not seen before."""
+        member_sets: List[FrozenSet[Any]] = []
+        stack = [proof]
+        while stack:
+            node = stack.pop()
+            member_sets.append(node.sequent.theta)
+            member_sets.append(node.sequent.delta)
+            stack.extend(node.premises)
+        fresh = frozenset().union(*member_sets) - self._learned
+        stale = []
+        for member in fresh:
+            try:
+                image = self.rewrite(member)
+            except Exception:
+                # Raised again when a set holding the member is rewritten,
+                # so the failure stays with the sequents that mention it.
+                stale.append(member)
+                continue
+            if image is not member:
+                stale.append(member)
+                self._images[id(member)] = image
+        self._stale |= frozenset(stale)
+        self._learned |= fresh
+
+    def members(self, members: FrozenSet[Any]) -> FrozenSet[Any]:
+        """``members`` rewritten; the same object when nothing changes."""
+        hit = members & self._stale
+        if not hit:
+            return members
+        images = self._images
+        rebuilt = []
+        for member in hit:
+            image = images.get(id(member))
+            rebuilt.append(self.rewrite(member) if image is None else image)
+        return (members - hit).union(rebuilt)
+
+    def sequent(self, sequent: Sequent) -> Sequent:
+        """``sequent`` rewritten; the same object when nothing changes.
+
+        Built directly (no ``Sequent.of`` validation): callers re-check
+        rewritten proofs before trusting them.
+        """
+        theta = self.members(sequent.theta)
+        delta = self.members(sequent.delta)
+        if theta is sequent.theta and delta is sequent.delta:
+            return sequent
+        return Sequent(theta, delta)
 
 
 def render_proof(node: ProofNode, indent: int = 0) -> str:

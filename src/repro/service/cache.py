@@ -248,13 +248,10 @@ class SynthesisCache:
             self._lru.move_to_end(key)
             self.stats.hits += 1
             return result, "memory"
-        if self.disk_dir is not None:
-            result = self._disk_load(spec_digest(problem))
-            if result is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self._memory_store(key, result)
-                return result, "disk"
+        result = self.promote(problem)
+        if result is not None:
+            self.stats.hits += 1
+            return result, "disk"
         self.stats.misses += 1
         return None, "miss"
 
@@ -279,20 +276,22 @@ class SynthesisCache:
                 return "disk"
         return None
 
-    def _promote(self, problem: ImplicitDefinitionProblem) -> bool:
-        """Load ``problem``'s disk entry into the memory tier, uncounted.
+    def promote(self, problem: ImplicitDefinitionProblem) -> Optional[SynthesisResult]:
+        """Load ``problem``'s disk entry into the memory tier; ``None`` if absent.
 
-        For a caller that peeked a disk hit and will run the pipeline next:
-        the pipeline's own ``lookup`` counts the one hit, so promotion must
-        not count another.  ``False`` when the entry is gone or unreadable.
+        Counts ``disk_hits`` (the disk was read) but not ``hits``: a caller
+        that peeked a disk entry and runs the pipeline next leaves the one
+        hit to the pipeline's own ``lookup``.  ``None`` when there is no disk
+        tier or the entry is gone or unreadable.
         """
         if self.disk_dir is None:
-            return False
+            return None
         result = self._disk_load(spec_digest(problem))
         if result is None:
-            return False
+            return None
+        self.stats.disk_hits += 1
         self._memory_store(spec_key(problem), result)
-        return True
+        return result
 
     # ----------------------------------------------------------------- store
     def store(

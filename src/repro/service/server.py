@@ -489,11 +489,11 @@ class SynthesisService:
             return None
         # A peeked disk entry can be corrupt or concurrently evicted, and
         # falling through to a cold proof search here would block the event
-        # loop for seconds, so it is promoted (uncounted) before anything
-        # runs inline.  The pipeline run below is then guaranteed a memory
+        # loop for seconds, so it is promoted (a disk read, not a hit) before
+        # anything runs inline.  The pipeline run below is then guaranteed a memory
         # hit: nothing can evict the entry between these statements (no
         # awaits, same thread).
-        if tier == "disk" and not self.cache._promote(problem):
+        if tier == "disk" and self.cache.promote(problem) is None:
             return None
         response, _, _ = execute_synthesize_request(
             request, registry=self.registry, cache=self.cache

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro.core.node import dataclass_state
 from repro.errors import SpecificationError
 from repro.logic.formulas import Formula
 from repro.logic.free_vars import free_vars, substitute_many
@@ -40,6 +41,11 @@ class ImplicitDefinitionProblem:
     inputs: Tuple[Var, ...]
     output: Var
     auxiliaries: Tuple[Var, ...] = ()
+
+    # The determinacy hypotheses and goal, and the product split of
+    # :func:`repro.synthesis.implicit_to_explicit.product_subproblems`, are
+    # memoized in the instance ``__dict__``; keep those memos out of pickles.
+    __getstate__ = dataclass_state
 
     def __post_init__(self) -> None:
         check_formula(self.phi, allow_membership=False)
@@ -66,15 +72,32 @@ class ImplicitDefinitionProblem:
 
     # ------------------------------------------------------------ sequents
     def determinacy_goal(self) -> Sequent:
-        """The one-sided sequent ``⊢ ¬φ, ¬φ', o ≡ o'`` witnessing implicit definability."""
-        primed_phi, primed_output, _ = self.primed()
-        goal = equivalent(self.output, primed_output)
-        return Sequent.of((), [negate(self.phi), negate(primed_phi), goal])
+        """The one-sided sequent ``⊢ ¬φ, ¬φ', o ≡ o'`` witnessing implicit definability.
+
+        Built once per instance: one pipeline run asks for it from the
+        witness lookup, the proof search and the proof validation, and each
+        build (two negations and an extensional equality over the output
+        type) costs about a millisecond for nested outputs.
+        """
+        goal = self.__dict__.get("_goal")
+        if goal is None:
+            phi, primed_phi, conclusion = self.determinacy_hypotheses()
+            goal = Sequent.of((), [negate(phi), negate(primed_phi), conclusion])
+            object.__setattr__(self, "_goal", goal)
+        return goal
 
     def determinacy_hypotheses(self) -> Tuple[Formula, Formula, Formula]:
-        """``(φ, φ', o ≡ o')`` — the two hypotheses and the conclusion."""
-        primed_phi, primed_output, _ = self.primed()
-        return self.phi, primed_phi, equivalent(self.output, primed_output)
+        """``(φ, φ', o ≡ o')`` — the two hypotheses and the conclusion.
+
+        Built once per instance, so the goal and the extraction share one
+        ``φ'`` (and its memoized negation).
+        """
+        hypotheses = self.__dict__.get("_hypotheses")
+        if hypotheses is None:
+            primed_phi, primed_output, _ = self.primed()
+            hypotheses = (self.phi, primed_phi, equivalent(self.output, primed_output))
+            object.__setattr__(self, "_hypotheses", hypotheses)
+        return hypotheses
 
     # ------------------------------------------------------------ semantics
     def holds_on(self, assignment: Mapping[Var, Value]) -> bool:

@@ -209,8 +209,13 @@ def product_subproblems(
     are named ``<output>_1``/``<output>_2`` and φ is β-normalized after the
     pair substitution — so the incremental seeder can replay it on an edited
     spec and pair each component with the stored witness of its ancestor
-    counterpart (:mod:`repro.witness.incremental`).
+    counterpart (:mod:`repro.witness.incremental`).  Memoized in the
+    problem instance, so the seeder and the synthesis recursion of one run
+    share the sub-problems (and their memoized determinacy goals).
     """
+    cached = problem.__dict__.get("_product_subproblems")
+    if cached is not None:
+        return cached
     output = problem.output
     typ: ProdType = output.typ  # type: ignore[assignment]
     first = Var(output.name + "_1", typ.left)
@@ -227,7 +232,9 @@ def product_subproblems(
                 auxiliaries=tuple(problem.auxiliaries) + (other,),
             )
         )
-    return subs[0], subs[1]
+    pair = (subs[0], subs[1])
+    object.__setattr__(problem, "_product_subproblems", pair)
+    return pair
 
 
 def _synthesize_product(

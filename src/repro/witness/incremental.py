@@ -36,7 +36,7 @@ from repro.logic.macros import negate
 from repro.logic.terms import Term, Var
 from repro.obs.metrics import get_registry
 from repro.proofs import checker
-from repro.proofs.prooftree import ProofNode
+from repro.proofs.prooftree import ProofNode, SequentRewriter
 from repro.proofs.search import SearchTables
 from repro.proofs.sequents import Sequent
 from repro.specs.problems import ImplicitDefinitionProblem
@@ -110,53 +110,56 @@ def _edit_mapping(
     return len(diff.sites), mapping
 
 
-def _translate_value(
-    value: object, mapping: Dict[core.Node, core.Node], cache: Dict[int, core.Node]
-) -> object:
-    if isinstance(value, core.Node):
-        return replace_subtrees(value, mapping, cache)
-    if isinstance(value, tuple):
-        items = tuple(_translate_value(item, mapping, cache) for item in value)
-        # Preserve identity for untouched tuples so callers can detect
-        # "nothing changed" with an ``is`` check.
-        return value if all(a is b for a, b in zip(items, value)) else items
-    return value
+class _Translation:
+    """Rewrites proof parts under one edit ``mapping`` (old → new subtree).
+
+    ``cache`` memoizes :func:`~repro.witness.diff.replace_subtrees` by object
+    identity; sequents go through a :class:`~repro.proofs.prooftree.
+    SequentRewriter`, which rewrites each distinct member once per proof.
+    """
+
+    def __init__(self, mapping: Dict[core.Node, core.Node]) -> None:
+        self.mapping = mapping
+        self.cache: Dict[int, core.Node] = {}
+        self.sequents = SequentRewriter(self.node)
+
+    def node(self, node: core.Node) -> core.Node:
+        return replace_subtrees(node, self.mapping, self.cache)
+
+    def value(self, value: object) -> object:
+        if isinstance(value, core.Node):
+            return self.node(value)
+        if isinstance(value, tuple):
+            items = tuple(self.value(item) for item in value)
+            # Preserve identity for untouched tuples so callers can detect
+            # "nothing changed" with an ``is`` check.
+            return value if all(a is b for a, b in zip(items, value)) else items
+        return value
+
+    def meta(self, meta: Dict[str, object]) -> Dict[str, object]:
+        return {key: self.value(value) for key, value in meta.items()}
 
 
-def _translate_sequent(
-    sequent: Sequent, mapping: Dict[core.Node, core.Node], cache: Dict[int, core.Node]
-) -> Sequent:
-    theta = tuple(replace_subtrees(atom, mapping, cache) for atom in sequent.theta)
-    delta = tuple(replace_subtrees(formula, mapping, cache) for formula in sequent.delta)
-    if all(a is b for a, b in zip(theta, sequent.theta)) and all(
-        a is b for a, b in zip(delta, sequent.delta)
-    ):
-        return sequent
-    # Direct construction (no ``Sequent.of`` validation): every member is a
-    # rewrite of a validated formula, and anything a search replays out of
-    # the table is re-validated by the checker before use.
-    return Sequent(frozenset(theta), frozenset(delta))
+def _same_objects(new: Dict[str, object], old: Dict[str, object]) -> bool:
+    return all(new[key] is value for key, value in old.items())
 
 
-def _translate_proof(
-    proof: ProofNode, mapping: Dict[core.Node, core.Node], cache: Dict[int, core.Node]
-) -> ProofNode:
-    """Mechanically rewrite ``proof`` under ``mapping`` (no validation).
+def _translate_proof(proof: ProofNode, translation: _Translation) -> ProofNode:
+    """Mechanically rewrite ``proof`` under the edit (no validation).
 
     Identity-preserving: subtrees the mapping never touches come back as the
     same objects, so an edit localized to one spec conjunct rebuilds only the
     proof spine that mentions it.
     """
+    translation.sequents.learn(proof)
 
     def visit(node: ProofNode) -> ProofNode:
         premises = tuple(visit(premise) for premise in node.premises)
-        sequent = _translate_sequent(node.sequent, mapping, cache)
-        meta = {
-            key: _translate_value(value, mapping, cache) for key, value in node.meta.items()
-        }
+        sequent = translation.sequents.sequent(node.sequent)
+        meta = translation.meta(node.meta)
         if (
             sequent is node.sequent
-            and all(meta[key] is value for key, value in node.meta.items())
+            and _same_objects(meta, node.meta)
             and all(a is b for a, b in zip(premises, node.premises))
         ):
             return node
@@ -167,7 +170,7 @@ def _translate_proof(
 
 def _translate_and_seed(
     proof: ProofNode,
-    mapping: Dict[core.Node, core.Node],
+    translation: _Translation,
     successes: Dict[Sequent, ProofNode],
 ) -> Tuple[int, int]:
     """Translate ``proof`` onto the edited spec and seed the sound subtrees.
@@ -178,7 +181,7 @@ def _translate_and_seed(
     subtree was sound, so every table entry is a fully checked proof of its
     key sequent.  Returns ``(total_nodes, seeded)``.
     """
-    cache: Dict[int, core.Node] = {}
+    translation.sequents.learn(proof)
     total = 0
     seeded = 0
 
@@ -192,14 +195,11 @@ def _translate_and_seed(
             all_sound = all_sound and sound and translated is not None
             premises.append(translated if translated is not None else premise)
         try:
-            sequent = _translate_sequent(node.sequent, mapping, cache)
-            meta = {
-                key: _translate_value(value, mapping, cache)
-                for key, value in node.meta.items()
-            }
+            sequent = translation.sequents.sequent(node.sequent)
+            meta = translation.meta(node.meta)
             if (
                 sequent is node.sequent
-                and all(meta[key] is value for key, value in node.meta.items())
+                and _same_objects(meta, node.meta)
                 and all(a is b for a, b in zip(premises, node.premises))
             ):
                 # Untouched by the edit: the node was already validated when
@@ -243,7 +243,7 @@ def seed_search_tables(
             sites, mapping = edit
     successes = tables.successes
     if mapping:
-        total, seeded = _translate_and_seed(record.proof, mapping, successes)
+        total, seeded = _translate_and_seed(record.proof, _Translation(mapping), successes)
     else:
         # Identical specs (or no ancestor problem to diff against): the
         # stored proof applies verbatim.
@@ -313,33 +313,33 @@ def seed_incremental(
     )
     successes = tables.successes
     # Both members of a component pair share their φ, so their edit mappings
-    # (and translation caches, which depend on the mapping) are shared too.
-    mappings: Dict[tuple, tuple] = {}
+    # (and translations, which depend only on the mapping) are shared too.
+    translations: Dict[tuple, Tuple[int, Optional[_Translation]]] = {}
     worklist = [(record, problem)]
     while worklist:
         rec, prob = worklist.pop()
         seed.records += 1
         seed.total_nodes += rec.proof_size
         ancestor = rec.problem
-        sites, mapping, cache = 0, None, None
+        sites, translation = 0, None
         if ancestor is not None:
             key = (ancestor.phi, prob.phi)
-            entry = mappings.get(key)
+            entry = translations.get(key)
             if entry is None:
-                edit = _edit_mapping(rec, prob)
-                entry = (*edit, {}) if edit is not None else (0, {}, {})
-                mappings[key] = entry
-            sites, mapping, cache = entry
+                sites, mapping = _edit_mapping(rec, prob) or (0, {})
+                entry = (sites, _Translation(mapping) if mapping else None)
+                translations[key] = entry
+            sites, translation = entry
         if rec is record:
             seed.diff_sites = sites
-        if not mapping:
+        if translation is None:
             # Spec unchanged (or unknown): the stored proof applies verbatim.
             if rec.sequent not in successes:
                 successes[rec.sequent] = rec.proof
                 seed.seeded += 1
         elif optimistic:
             try:
-                translated = _translate_proof(rec.proof, mapping, cache)
+                translated = _translate_proof(rec.proof, translation)
             except Exception:
                 translated = None
             if translated is not None:
@@ -347,10 +347,10 @@ def seed_incremental(
                     successes[translated.sequent] = translated
                     seed.seeded += 1
             else:
-                _, seeded = _translate_and_seed(rec.proof, mapping, successes)
+                _, seeded = _translate_and_seed(rec.proof, translation, successes)
                 seed.seeded += seeded
         else:
-            _, seeded = _translate_and_seed(rec.proof, mapping, successes)
+            _, seeded = _translate_and_seed(rec.proof, translation, successes)
             seed.seeded += seeded
         # Walk into stored component witnesses (product outputs only).
         if ancestor is None or not isinstance(prob.output.typ, ProdType):

@@ -452,7 +452,9 @@ class WitnessStore:
         if not self._dirty:
             return 0
         self._dirty = False
-        if not self.entry_bound:
+        # Count sidecars by directory listing first: parsing every one of
+        # them is only needed once the tier is actually over its bound.
+        if not self.entry_bound or sum(1 for _ in self.root.glob("*.json")) <= self.entry_bound:
             return 0
         summaries = self.list()
         evicted = 0

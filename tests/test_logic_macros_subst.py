@@ -1,5 +1,7 @@
 """Unit tests for macros, free variables and substitution."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TypeMismatchError
@@ -40,6 +42,18 @@ def test_negate_is_involutive_and_dualizes():
     assert isinstance(neg, Exists)
     assert isinstance(neg.body, And)
     assert negate(neg) == phi
+
+
+def test_negate_and_equivalent_are_memoized_outside_pickles():
+    x = Var("x", UR)
+    s = Var("s", set_of(UR))
+    phi = Forall(x, s, Or(EqUr(x, x), Top()))
+    neg = negate(phi)
+    assert negate(phi) is neg
+    # The memo is process-local: it never travels with the formula.
+    assert "_neg" not in pickle.loads(pickle.dumps(phi)).__dict__
+    a, b = Var("a", set_of(prod(UR, UR))), Var("b", set_of(prod(UR, UR)))
+    assert equivalent(a, b) is equivalent(a, b)
 
 
 def test_implies_and_iff_shapes():

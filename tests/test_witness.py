@@ -13,13 +13,13 @@ from repro.nr.types import UR, SetType
 from repro.nrc.expr import NDiff, NUnion, NVar
 from repro.obs.metrics import get_registry
 from repro.proofs.checker import check_proof
-from repro.proofs.prooftree import ProofNode
+from repro.proofs.prooftree import ProofNode, iter_nodes
 from repro.proofs.search import ProofSearch, SearchTables
 from repro.proofs.sequents import Sequent
 from repro.service.cache import SynthesisCache
 from repro.service.pipeline import SynthesisPipeline
 from repro.specs.fuzz import MutationChecker, build_spec, mutate_spec, run_fuzz
-from repro.witness.diff import diff_formulas
+from repro.witness.diff import diff_formulas, replace_subtrees
 from repro.witness.handwritten import (
     HANDWRITTEN,
     HANDWRITTEN_PROBLEMS,
@@ -30,10 +30,14 @@ from repro.witness.handwritten import (
     replay_handwritten,
 )
 from repro.witness.incremental import (
+    _edit_mapping,
+    _translate_proof,
+    _Translation,
     seed_search_tables,
     warm_tables_from_store,
 )
 from repro.witness.store import (
+    WitnessRecord,
     WitnessStore,
     witness_digest,
     witness_fingerprint,
@@ -219,6 +223,40 @@ def test_diff_localizes_the_edit(union_spec):
     assert not diff.identical and diff.sites
     identity = diff_formulas(union_spec.problem.phi, union_spec.problem.phi)
     assert identity.identical
+
+
+def test_problem_memos_stay_out_of_pickles(union_spec):
+    problem = union_spec.problem
+    goal = problem.determinacy_goal()
+    assert problem.determinacy_goal() is goal
+    copy = pickle.loads(pickle.dumps(problem))
+    assert not [key for key in copy.__dict__ if key.startswith("_")]
+    assert copy == problem and copy.determinacy_goal() == goal
+
+
+def test_translation_rewrites_every_sequent_member(union_spec, union_proof):
+    # Sequents are rewritten by set algebra over the members known to change;
+    # the result must equal rewriting each member on its own, and untouched
+    # sequents must come back as the same objects.
+    edited = _spec(NUnion(NDiff(I1, I3), I3), name="wit_union", seed=1)
+    record = WitnessRecord("", "", union_proof, 0.0, problem=union_spec.problem)
+    _, mapping = _edit_mapping(record, edited.problem)
+    translated = _translate_proof(union_proof, _Translation(mapping))
+    cache = {}
+    changed = 0
+    for old, new in zip(iter_nodes(union_proof), iter_nodes(translated)):
+        expected = Sequent(
+            frozenset(replace_subtrees(atom, mapping, cache) for atom in old.sequent.theta),
+            frozenset(replace_subtrees(formula, mapping, cache) for formula in old.sequent.delta),
+        )
+        assert new.sequent == expected
+        if expected == old.sequent:
+            assert new.sequent is old.sequent
+        else:
+            changed += 1
+    assert changed
+    check_proof(translated)
+    assert translated.sequent == edited.problem.determinacy_goal()
 
 
 def test_incremental_pipeline_matches_cold_byte_for_byte(tmp_path, union_spec):
